@@ -3,6 +3,8 @@
 Secrets never live in the file; values may reference environment variables
 (e.g. ``llm.auth_token_env = LLM_TOKEN`` names the variable, while
 ``${VAR}`` splices a variable's value into any field at parse time).
+The parsed config uses the spliced value, but ``RunConfig.snapshot`` records
+the text as written, so no variable's value reaches the run artifact.
 Unknown keys are rejected so typos fail loudly.
 """
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from .chunking import ChunkerConfig
 from .embeddings import EmbeddingProviderConfig
 from .errors import ConfigError
+from .pathfinding import DP_HARD_CAP
 from .summarize import LlmProviderConfig
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -28,10 +31,15 @@ class RunConfig:
     k: int | None = None
     top_k: int = 5
     collapse_runs: bool = False
-    path_cap: int = 22
+    path_cap: int = DP_HARD_CAP
     mode: str = "markov-cluster"
     seed: int = 0
     out_dir: str = "runs"
+    # (section, field) -> (text as written, value parsed from it) for every
+    # setting that spliced in an environment variable; "" is the top level.
+    env_templates: dict[tuple[str, str], tuple[str, object]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.mode not in ("markov-cluster", "cluster-sum", "llm-full"):
@@ -47,7 +55,7 @@ class RunConfig:
         def plain(obj) -> dict:
             return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
-        return {
+        snap = {
             "chunker": plain(self.chunker),
             "embedding": plain(self.embedding),
             "llm": plain(self.llm),
@@ -59,6 +67,17 @@ class RunConfig:
             "seed": self.seed,
             "out_dir": self.out_dir,
         }
+        for (section, name), (template, parsed) in self.env_templates.items():
+            target = snap[section] if section else snap
+            if target[name] == parsed:  # not overridden since parsing
+                target[name] = template
+        return snap
+
+
+class _Spliced(str):
+    """A value with environment variables spliced in; ``template`` is the text as written."""
+
+    template: str
 
 
 def _interpolate(value: str) -> str:
@@ -68,7 +87,11 @@ def _interpolate(value: str) -> str:
             raise ConfigError(f"config references undefined environment variable {name}")
         return os.environ[name]
 
-    return _ENV_REF.sub(repl, value)
+    if not _ENV_REF.search(value):
+        return value
+    spliced = _Spliced(_ENV_REF.sub(repl, value))
+    spliced.template = value
+    return spliced
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -110,69 +133,72 @@ def _to_float(raw: str, key: str) -> float:
 
 def config_from_mapping(values: dict[str, str]) -> RunConfig:
     """Build a RunConfig from flat dotted keys, applying defaults elsewhere."""
-    chunker_kwargs: dict = {}
-    embed_kwargs: dict = {}
-    llm_kwargs: dict = {}
-    top_kwargs: dict = {}
+    kwargs: dict[str, dict] = {"chunker": {}, "embedding": {}, "llm": {}, "": {}}
 
-    spec: dict[str, tuple[dict, str, object]] = {
-        "chunk_size": (chunker_kwargs, "chunk_size", int),
-        "overlap": (chunker_kwargs, "overlap", int),
-        "embedding.kind": (embed_kwargs, "kind", str),
-        "embedding.endpoint": (embed_kwargs, "endpoint", str),
-        "embedding.model_name": (embed_kwargs, "model_name", str),
-        "embedding.auth_token_env": (embed_kwargs, "auth_token_env", str),
-        "embedding.batch_size": (embed_kwargs, "batch_size", int),
-        "embedding.timeout": (embed_kwargs, "timeout", float),
-        "embedding.max_retries": (embed_kwargs, "max_retries", int),
-        "embedding.parallelism": (embed_kwargs, "parallelism", int),
-        "embedding.cache_dir": (embed_kwargs, "cache_dir", str),
-        "embedding.model_field": (embed_kwargs, "model_field", str),
-        "embedding.input_field": (embed_kwargs, "input_field", str),
-        "embedding.vectors_key": (embed_kwargs, "vectors_key", str),
-        "embedding.vector_field": (embed_kwargs, "vector_field", str),
-        "llm.kind": (llm_kwargs, "kind", str),
-        "llm.endpoint": (llm_kwargs, "endpoint", str),
-        "llm.model_name": (llm_kwargs, "model_name", str),
-        "llm.auth_token_env": (llm_kwargs, "auth_token_env", str),
-        "llm.temperature": (llm_kwargs, "temperature", float),
-        "llm.max_output_tokens": (llm_kwargs, "max_output_tokens", int),
-        "llm.timeout": (llm_kwargs, "timeout", float),
-        "llm.max_retries": (llm_kwargs, "max_retries", int),
-        "llm.parallelism": (llm_kwargs, "parallelism", int),
-        "llm.context_limit": (llm_kwargs, "context_limit", int),
-        "llm.context_margin": (llm_kwargs, "context_margin", int),
-        "k": (top_kwargs, "k", int),
-        "top_k": (top_kwargs, "top_k", int),
-        "collapse_runs": (top_kwargs, "collapse_runs", bool),
-        "path_cap": (top_kwargs, "path_cap", int),
-        "mode": (top_kwargs, "mode", str),
-        "seed": (top_kwargs, "seed", int),
-        "out_dir": (top_kwargs, "out_dir", str),
+    spec: dict[str, tuple[str, str, object]] = {
+        "chunk_size": ("chunker", "chunk_size", int),
+        "overlap": ("chunker", "overlap", int),
+        "embedding.kind": ("embedding", "kind", str),
+        "embedding.endpoint": ("embedding", "endpoint", str),
+        "embedding.model_name": ("embedding", "model_name", str),
+        "embedding.auth_token_env": ("embedding", "auth_token_env", str),
+        "embedding.batch_size": ("embedding", "batch_size", int),
+        "embedding.timeout": ("embedding", "timeout", float),
+        "embedding.max_retries": ("embedding", "max_retries", int),
+        "embedding.parallelism": ("embedding", "parallelism", int),
+        "embedding.cache_dir": ("embedding", "cache_dir", str),
+        "embedding.model_field": ("embedding", "model_field", str),
+        "embedding.input_field": ("embedding", "input_field", str),
+        "embedding.vectors_key": ("embedding", "vectors_key", str),
+        "embedding.vector_field": ("embedding", "vector_field", str),
+        "llm.kind": ("llm", "kind", str),
+        "llm.endpoint": ("llm", "endpoint", str),
+        "llm.model_name": ("llm", "model_name", str),
+        "llm.auth_token_env": ("llm", "auth_token_env", str),
+        "llm.temperature": ("llm", "temperature", float),
+        "llm.max_output_tokens": ("llm", "max_output_tokens", int),
+        "llm.timeout": ("llm", "timeout", float),
+        "llm.max_retries": ("llm", "max_retries", int),
+        "llm.parallelism": ("llm", "parallelism", int),
+        "llm.context_limit": ("llm", "context_limit", int),
+        "llm.context_margin": ("llm", "context_margin", int),
+        "k": ("", "k", int),
+        "top_k": ("", "top_k", int),
+        "collapse_runs": ("", "collapse_runs", bool),
+        "path_cap": ("", "path_cap", int),
+        "mode": ("", "mode", str),
+        "seed": ("", "seed", int),
+        "out_dir": ("", "out_dir", str),
     }
 
+    env_templates: dict[tuple[str, str], tuple[str, object]] = {}
     for key, raw in values.items():
         if key not in spec:
             raise ConfigError(f"unknown config key: {key!r}")
-        target, name, kind = spec[key]
+        section, name, kind = spec[key]
         if kind is int:
-            target[name] = _to_int(raw, key)
+            value = _to_int(raw, key)
         elif kind is float:
-            target[name] = _to_float(raw, key)
+            value = _to_float(raw, key)
         elif kind is bool:
-            target[name] = _to_bool(raw, key)
+            value = _to_bool(raw, key)
         else:
-            target[name] = raw
+            value = str(raw)
+        kwargs[section][name] = value
+        if isinstance(raw, _Spliced):
+            env_templates[(section, name)] = (raw.template, value)
 
     try:
-        return RunConfig(
-            chunker=ChunkerConfig(**chunker_kwargs),
-            embedding=EmbeddingProviderConfig(**embed_kwargs),
-            llm=LlmProviderConfig(**llm_kwargs),
-            **top_kwargs,
+        cfg = RunConfig(
+            chunker=ChunkerConfig(**kwargs["chunker"]),
+            embedding=EmbeddingProviderConfig(**kwargs["embedding"]),
+            llm=LlmProviderConfig(**kwargs["llm"]),
+            **kwargs[""],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    cfg.env_templates = env_templates
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -77,6 +77,28 @@ class TestSummarizeCommand:
         _, out_dir = run_summarize(tmp_path, runner, "run1")
         assert (out_dir / "artifact.json").read_bytes() == first
 
+    def test_env_secret_never_reaches_the_run_directory(self, tmp_path, monkeypatch):
+        secret = "hunter2-b9f1c0"
+        monkeypatch.setenv("SECRET_K", secret)
+        doc_path = tmp_path / "doc.txt"
+        doc_path.write_text(make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"]))
+        cfg_path = tmp_path / "run.cfg"
+        write_config(
+            cfg_path,
+            chunk_size=tokens_per_chunk(),
+            overlap=0,
+            extra=["k = 3", "llm.endpoint = https://h/v1?key=${SECRET_K}"],
+        )
+        out_dir = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["summarize", str(doc_path), "--config", str(cfg_path), "--out-dir", str(out_dir)]
+        )
+        assert result.exit_code == 0, result.output
+        artifact_bytes = (out_dir / "artifact.json").read_bytes()
+        assert b"key=${SECRET_K}" in artifact_bytes
+        for written in out_dir.iterdir():
+            assert secret.encode() not in written.read_bytes(), written.name
+
     def test_cluster_sum_artifact_has_no_path(self, tmp_path):
         runner = CliRunner()
         result, out_dir = run_summarize(tmp_path, runner, "run-cs", mode="cluster-sum")

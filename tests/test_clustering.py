@@ -1,17 +1,25 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import make_topic_document, tokens_per_chunk
+from themepath import clustering, pipeline
+from themepath.chunking import ChunkerConfig
 from themepath.clustering import (
     K_HARD_CAP,
+    _squared_distances,
+    _squared_norms,
     choose_k,
     distinct_count,
     kmeans,
     kmeanspp_seed,
     representatives,
 )
+from themepath.config import RunConfig
 from themepath.errors import InfeasibleError
+from themepath.pathfinding import DP_HARD_CAP
 
 
 def optimal_partition_inertia(points: np.ndarray, k: int) -> float:
@@ -28,6 +36,25 @@ def optimal_partition_inertia(points: np.ndarray, k: int) -> float:
             inertia += float(((members - members.mean(axis=0)) ** 2).sum())
         best = min(best, inertia)
     return best
+
+
+def broadcast_squared_distances(vectors, centroids, vector_norms=None):
+    """The direct difference formula over an n x k x d tensor (oracle); needs no norms."""
+    diff = vectors[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def unit_rows(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def topic_vectors(seed, n=800, d=768, topics=12, spread=0.6):
+    """Unit vectors scattered around a few topic directions, like chunk embeddings."""
+    rng = np.random.default_rng(seed)
+    centers = unit_rows(rng, topics, d)
+    rows = centers[rng.integers(topics, size=n)] + spread * unit_rows(rng, n, d)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 LINE_POINTS = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
@@ -57,8 +84,88 @@ class TestSeeding:
     def test_k_beyond_distinct_is_infeasible(self):
         points = np.array([[1.0], [1.0], [2.0]])
         assert distinct_count(points) == 2
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match=r"^k=3 exceeds the 2 distinct vectors available$"):
             kmeanspp_seed(points, 3, seed=0)
+
+    def test_repeated_leading_rows_are_still_feasible(self):
+        # the first k rows hold one value; the distinct ones come later
+        points = np.array([[0.0], [0.0], [0.0], [1.0], [2.0]])
+        assert sorted(kmeans(points, 3, seed=0).centroids[:, 0]) == [0.0, 1.0, 2.0]
+
+
+class TestDistinctCount:
+    @staticmethod
+    def record_calls(monkeypatch, module):
+        rows: list[int] = []
+
+        def recording(vectors):
+            rows.append(len(vectors))
+            return distinct_count(vectors)
+
+        monkeypatch.setattr(module, "distinct_count", recording)
+        return rows
+
+    def test_kmeans_checks_only_a_prefix_when_it_has_k_distinct_rows(self, monkeypatch):
+        rows = self.record_calls(monkeypatch, clustering)
+        kmeans(topic_vectors(0, n=60, d=8), 5, seed=0, n_init=1)
+        assert rows == [5]
+
+    def test_infeasible_k_counts_all_rows_once(self, monkeypatch):
+        rows = self.record_calls(monkeypatch, clustering)
+        with pytest.raises(InfeasibleError):
+            kmeans(np.array([[1.0], [1.0], [2.0], [2.0]]), 3, seed=0)
+        assert rows == [3, 4]
+
+    def test_cluster_stage_sorts_the_matrix_once(self, monkeypatch):
+        rows = self.record_calls(monkeypatch, clustering)
+        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        cfg = RunConfig(chunker=ChunkerConfig(chunk_size=tokens_per_chunk(), overlap=0), k=3)
+        cfg.embedding.kind = "deterministic-test"
+        cfg.llm.kind = "mock-extractive"
+        document = make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"])
+        result = pipeline.run_pipeline(document, "cluster-sum", cfg)
+        n = len(result.chunks)
+        assert rows_in_pipeline == [n]
+        assert rows == [3]
+
+
+class TestSquaredDistances:
+    def test_matches_difference_formula_on_unit_vectors(self):
+        rng = np.random.default_rng(5)
+        vectors = unit_rows(rng, 300, 768)
+        centroids = unit_rows(rng, 12, 768)
+        expected = broadcast_squared_distances(vectors, centroids)
+        d2 = _squared_distances(vectors, centroids, _squared_norms(vectors))
+        assert np.abs(d2 - expected).max() <= 1e-12
+
+    def test_never_negative_even_at_a_centroid(self):
+        rng = np.random.default_rng(6)
+        vectors = unit_rows(rng, 200, 768)
+        centroids = vectors[[3, 50, 199]].copy()
+        d2 = _squared_distances(vectors, centroids, _squared_norms(vectors))
+        assert d2.min() >= 0.0
+        assert np.abs(d2[[3, 50, 199], [0, 1, 2]]).max() <= 1e-12
+
+    def test_working_memory_is_n_by_k_not_n_by_k_by_d(self):
+        rng = np.random.default_rng(8)
+        vectors = unit_rows(rng, 2000, 768)
+        centroids = unit_rows(rng, 22, 768)
+        tracemalloc.start()
+        try:
+            _squared_distances(vectors, centroids, _squared_norms(vectors))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the n x k x d difference tensor alone is 258 MiB
+
+    def test_kmeans_matches_lloyd_on_the_difference_formula(self, monkeypatch):
+        vectors = topic_vectors(9)
+        result = kmeans(vectors, 12, seed=0)
+        monkeypatch.setattr(clustering, "_squared_distances", broadcast_squared_distances)
+        oracle = kmeans(vectors, 12, seed=0)
+        assert np.array_equal(result.labels, oracle.labels)
+        assert np.array_equal(result.centroids, oracle.centroids)
+        assert result.inertia_history == oracle.inertia_history
 
 
 class TestKmeans:
@@ -166,3 +273,6 @@ class TestChooseK:
 
     def test_upper_clamp(self):
         assert choose_k(100000) == K_HARD_CAP
+
+    def test_cap_is_the_exact_solver_cap(self):
+        assert K_HARD_CAP == DP_HARD_CAP == 22

@@ -81,6 +81,25 @@ class TestConfigParsing:
         cfg = config_from_mapping({"llm.auth_token_env": "SECRET_TOKEN"})
         assert "do-not-leak" not in json.dumps(cfg.snapshot())
 
+    def test_snapshot_records_text_before_interpolation(self, monkeypatch):
+        monkeypatch.setenv("SECRET_K", "hunter2")
+        monkeypatch.setenv("RUN_SEED", "7")
+        text = "llm.endpoint = https://h/v1?key=${SECRET_K}\nseed = ${RUN_SEED}"
+        cfg = config_from_mapping(parse_config_text(text))
+        assert cfg.llm.endpoint == "https://h/v1?key=hunter2"
+        assert type(cfg.llm.endpoint) is str
+        assert cfg.seed == 7
+        snap = cfg.snapshot()
+        assert snap["llm"]["endpoint"] == "https://h/v1?key=${SECRET_K}"
+        assert snap["seed"] == "${RUN_SEED}"
+        assert "hunter2" not in json.dumps(snap)
+
+    def test_snapshot_records_a_value_set_after_parsing(self, monkeypatch):
+        monkeypatch.setenv("RUNS_ROOT", "/tmp/elsewhere")
+        cfg = config_from_mapping(parse_config_text("out_dir = ${RUNS_ROOT}/books"))
+        cfg.out_dir = "runs/override"
+        assert cfg.snapshot()["out_dir"] == "runs/override"
+
 
 def sample_artifact() -> RunArtifact:
     return RunArtifact(
