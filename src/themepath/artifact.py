@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 
 import numpy as np
 
@@ -46,45 +46,26 @@ class RunArtifact:
     timings: dict[str, float] = field(default_factory=dict)  # sidecar only
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "mode": self.mode,
-            "seed": self.seed,
-            "config": self.config,
-            "final_summary": self.final_summary,
-            "chunks": self.chunks,
-            "labels": self.labels,
-            "centroids_digest": self.centroids_digest,
-            "representatives": self.representatives,
-            "transition_matrix": self.transition_matrix,
-            "path": self.path,
-            "cluster_summaries": self.cluster_summaries,
-            "eval_scores": self.eval_scores,
-            "notes": self.notes,
-        }
+        data = {"format_version": FORMAT_VERSION}
+        data.update((f.name, getattr(self, f.name)) for f in _saved_fields())
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunArtifact":
         if data.get("format_version") != FORMAT_VERSION:
             raise ArtifactError(f"unsupported artifact format: {data.get('format_version')!r}")
-        try:
-            return cls(
-                mode=data["mode"],
-                seed=data["seed"],
-                config=data["config"],
-                final_summary=data["final_summary"],
-                chunks=data["chunks"],
-                labels=data["labels"],
-                centroids_digest=data["centroids_digest"],
-                representatives=data["representatives"],
-                transition_matrix=data["transition_matrix"],
-                path=data["path"],
-                cluster_summaries=data["cluster_summaries"],
-                eval_scores=data["eval_scores"],
-                notes=data.get("notes", {}),
-            )
-        except KeyError as exc:
-            raise ArtifactError(f"artifact missing field {exc}") from exc
+        kwargs = {}
+        for f in _saved_fields():
+            if f.name in data:
+                kwargs[f.name] = data[f.name]
+            elif f.default_factory is MISSING:  # ``notes`` may be absent: it has a default
+                raise ArtifactError(f"artifact missing field {f.name!r}")
+        return cls(**kwargs)
+
+
+def _saved_fields() -> list[Field]:
+    """The fields written to artifact.json: all but the ``timings`` sidecar."""
+    return [f for f in fields(RunArtifact) if f.name != "timings"]
 
 
 def encode_log_prob(value: float):

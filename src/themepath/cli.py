@@ -26,7 +26,7 @@ from .artifact import (
     to_canonical_json,
     write_atomic,
 )
-from .config import RunConfig, load_config
+from .config import MODES, RunConfig, load_config
 from .errors import ConfigError, PipelineStageError, ThemepathError
 from .evaluation import EvalReport, evaluate_corpus, render_table
 from .markov import TransitionMatrix
@@ -80,7 +80,7 @@ def _apply_overrides(cfg: RunConfig, mode, k, seed, out_dir, provider) -> RunCon
 @main.command("summarize")
 @click.argument("input_path")
 @click.option("--config", "config_path", default=None, help="Flat key=value config file.")
-@click.option("--mode", type=click.Choice(["markov-cluster", "cluster-sum", "llm-full"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--k", type=int, default=None, help="Explicit cluster count.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out-dir", default=None, help="Run directory for artifact and summary.")

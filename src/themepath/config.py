@@ -1,5 +1,11 @@
 """Run configuration: a flat key = value file with ${ENV} interpolation.
 
+The dataclasses are the schema: every constructor field is a key. Top-level
+``RunConfig`` fields and chunker fields are bare keys (``seed``,
+``chunk_size``); provider fields are ``embedding.<field>`` and
+``llm.<field>`` (``llm.timeout``). A value is converted to its field's
+annotated type (``int``, ``float``, ``bool``; ``str`` stays as given).
+
 Secrets never live in the file; values may reference environment variables
 (e.g. ``llm.auth_token_env = LLM_TOKEN`` names the variable, while
 ``${VAR}`` splices a variable's value into any field at parse time).
@@ -12,7 +18,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .chunking import ChunkerConfig
 from .embeddings import EmbeddingProviderConfig
@@ -21,6 +29,8 @@ from .pathfinding import DP_HARD_CAP
 from .summarize import LlmProviderConfig
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+MODES = ("markov-cluster", "cluster-sum", "llm-full")
 
 
 @dataclass
@@ -42,7 +52,7 @@ class RunConfig:
     )
 
     def __post_init__(self):
-        if self.mode not in ("markov-cluster", "cluster-sum", "llm-full"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
@@ -52,21 +62,12 @@ class RunConfig:
     def snapshot(self) -> dict:
         """JSON-ready copy of every setting; contains no secret values."""
 
-        def plain(obj) -> dict:
-            return {f.name: getattr(obj, f.name) for f in fields(obj)}
+        def plain(value):
+            if is_dataclass(value):
+                return {f.name: getattr(value, f.name) for f in fields(value)}
+            return value
 
-        snap = {
-            "chunker": plain(self.chunker),
-            "embedding": plain(self.embedding),
-            "llm": plain(self.llm),
-            "k": self.k,
-            "top_k": self.top_k,
-            "collapse_runs": self.collapse_runs,
-            "path_cap": self.path_cap,
-            "mode": self.mode,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        snap = {f.name: plain(getattr(self, f.name)) for f in fields(self) if f.init}
         for (section, name), (template, parsed) in self.env_templates.items():
             target = snap[section] if section else snap
             if target[name] == parsed:  # not overridden since parsing
@@ -131,68 +132,54 @@ def _to_float(raw: str, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
 
 
+def _plain_type(hint) -> type:
+    """The annotation's type with ``None`` stripped from a union: ``int | None`` -> ``int``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return hint
+
+
+def _settable_fields(cls) -> list[tuple[str, type]]:
+    """(name, type) of every field of dataclass ``cls`` that its constructor takes."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, _plain_type(hints[f.name])) for f in fields(cls) if f.init]
+
+
+_CONVERTERS = {int: _to_int, float: _to_float, bool: _to_bool}
+
+
 def config_from_mapping(values: dict[str, str]) -> RunConfig:
-    """Build a RunConfig from flat dotted keys, applying defaults elsewhere."""
-    kwargs: dict[str, dict] = {"chunker": {}, "embedding": {}, "llm": {}, "": {}}
+    """Build a RunConfig from flat keys, applying defaults elsewhere.
 
-    spec: dict[str, tuple[str, str, object]] = {
-        "chunk_size": ("chunker", "chunk_size", int),
-        "overlap": ("chunker", "overlap", int),
-        "embedding.kind": ("embedding", "kind", str),
-        "embedding.endpoint": ("embedding", "endpoint", str),
-        "embedding.model_name": ("embedding", "model_name", str),
-        "embedding.auth_token_env": ("embedding", "auth_token_env", str),
-        "embedding.batch_size": ("embedding", "batch_size", int),
-        "embedding.timeout": ("embedding", "timeout", float),
-        "embedding.max_retries": ("embedding", "max_retries", int),
-        "embedding.parallelism": ("embedding", "parallelism", int),
-        "embedding.cache_dir": ("embedding", "cache_dir", str),
-        "embedding.model_field": ("embedding", "model_field", str),
-        "embedding.input_field": ("embedding", "input_field", str),
-        "embedding.vectors_key": ("embedding", "vectors_key", str),
-        "embedding.vector_field": ("embedding", "vector_field", str),
-        "llm.kind": ("llm", "kind", str),
-        "llm.endpoint": ("llm", "endpoint", str),
-        "llm.model_name": ("llm", "model_name", str),
-        "llm.auth_token_env": ("llm", "auth_token_env", str),
-        "llm.temperature": ("llm", "temperature", float),
-        "llm.max_output_tokens": ("llm", "max_output_tokens", int),
-        "llm.timeout": ("llm", "timeout", float),
-        "llm.max_retries": ("llm", "max_retries", int),
-        "llm.parallelism": ("llm", "parallelism", int),
-        "llm.context_limit": ("llm", "context_limit", int),
-        "llm.context_margin": ("llm", "context_margin", int),
-        "k": ("", "k", int),
-        "top_k": ("", "top_k", int),
-        "collapse_runs": ("", "collapse_runs", bool),
-        "path_cap": ("", "path_cap", int),
-        "mode": ("", "mode", str),
-        "seed": ("", "seed", int),
-        "out_dir": ("", "out_dir", str),
-    }
+    The keys are derived from the dataclass fields by the rule in the module
+    docstring; each maps to (section, field, type), "" being the top level.
+    """
+    sections: dict[str, type] = {}
+    spec: dict[str, tuple[str, str, type]] = {}
+    for top, kind in _settable_fields(RunConfig):
+        if not is_dataclass(kind):
+            spec[top] = ("", top, kind)
+            continue
+        sections[top] = kind
+        prefix = "" if kind is ChunkerConfig else f"{top}."
+        for name, field_kind in _settable_fields(kind):
+            spec[prefix + name] = (top, name, field_kind)
 
+    kwargs: dict[str, dict] = {section: {} for section in ["", *sections]}
     env_templates: dict[tuple[str, str], tuple[str, object]] = {}
     for key, raw in values.items():
         if key not in spec:
             raise ConfigError(f"unknown config key: {key!r}")
         section, name, kind = spec[key]
-        if kind is int:
-            value = _to_int(raw, key)
-        elif kind is float:
-            value = _to_float(raw, key)
-        elif kind is bool:
-            value = _to_bool(raw, key)
-        else:
-            value = str(raw)
+        convert = _CONVERTERS.get(kind)
+        value = convert(raw, key) if convert else str(raw)
         kwargs[section][name] = value
         if isinstance(raw, _Spliced):
             env_templates[(section, name)] = (raw.template, value)
 
     try:
         cfg = RunConfig(
-            chunker=ChunkerConfig(**kwargs["chunker"]),
-            embedding=EmbeddingProviderConfig(**kwargs["embedding"]),
-            llm=LlmProviderConfig(**kwargs["llm"]),
+            **{section: cls(**kwargs[section]) for section, cls in sections.items()},
             **kwargs[""],
         )
     except ValueError as exc:

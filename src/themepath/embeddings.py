@@ -150,16 +150,11 @@ class EmbeddingCache:
 
 
 def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarray]:
-    headers = {}
-    if cfg.auth_token_env:
-        token = os.environ.get(cfg.auth_token_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
     payload = {cfg.model_field: cfg.model_name, cfg.input_field: texts}
     data = post_json(
         cfg.endpoint,
         payload,
-        headers=headers or None,
+        auth_token_env=cfg.auth_token_env,
         timeout=cfg.timeout,
         max_retries=cfg.max_retries,
     )

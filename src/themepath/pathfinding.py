@@ -5,9 +5,8 @@ maximize the product of transition probabilities along the way, free
 choice of start and end node.
 
 * ``solve_dp``: exact bitmask dynamic programming, O(k^2 * 2^k) time and
-  O(k * 2^k) space, feasible up to k = 22.  The table kernel is a compiled
-  extension when available, with a bit-identical numpy fallback selected
-  at import (override with THEMEPATH_DP_BACKEND=compiled|pure).
+  O(k * 2^k) space, feasible up to k = 22.  The table kernel is the
+  compiled extension when it is built, else a bit-identical numpy fallback.
 * ``solve_brute_force``: O(k * k!) permutation scan, the oracle for small k.
 * ``solve_greedy``: best-of-k-starts nearest-successor heuristic for k
   beyond the DP cap.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +51,6 @@ def available_backends() -> list[str]:
 
 
 def default_backend() -> str:
-    env = os.environ.get("THEMEPATH_DP_BACKEND", "").strip().lower()
-    if env in ("compiled", "pure"):
-        return env
     return "compiled" if _pathcore is not None else "pure"
 
 

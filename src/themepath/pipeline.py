@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from typing import Callable
 
 from . import artifact as artifact_mod
 from .chunking import chunk_document
 from .clustering import choose_k, distinct_count, kmeans, representatives
-from .config import RunConfig
+from .config import MODES, RunConfig
 from .embeddings import embed_batch
 from .errors import PipelineStageError
 from .markov import build_transition_matrix
@@ -85,7 +86,7 @@ def run_pipeline(
     """Run one summarization mode over a document and return the artifact."""
     if not document.strip():
         raise ValueError("document is empty")
-    if mode not in ("markov-cluster", "cluster-sum", "llm-full"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
 
     stages = _Stages(progress)
@@ -158,15 +159,7 @@ def run_pipeline(
 
     summaries = stages.run("summarize_clusters", lambda: _summarize_clusters(reps, chunks, cfg))
     ordered = [summaries[c] for c in summary_order]
-    result.cluster_summaries = [
-        {
-            "cluster_id": s.cluster_id,
-            "representative_chunk_ids": s.representative_chunk_ids,
-            "summary_text": s.summary_text,
-            "provider_metadata": s.provider_metadata,
-        }
-        for s in ordered
-    ]
+    result.cluster_summaries = [asdict(s) for s in ordered]
 
     result.final_summary = stages.run("aggregate", lambda: aggregate_final(ordered, cfg.llm))
     result.timings = stages.timings

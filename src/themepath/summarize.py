@@ -16,7 +16,6 @@ changes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -107,11 +106,6 @@ class RemoteChatProvider:
 
     def _complete(self, user_prompt: str) -> tuple[str, dict]:
         cfg = self.cfg
-        headers = {}
-        if cfg.auth_token_env:
-            token = os.environ.get(cfg.auth_token_env)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
         payload = {
             "model": cfg.model_name,
             "messages": [
@@ -124,7 +118,7 @@ class RemoteChatProvider:
         data = post_json(
             cfg.endpoint,
             payload,
-            headers=headers or None,
+            auth_token_env=cfg.auth_token_env,
             timeout=cfg.timeout,
             max_retries=cfg.max_retries,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import requests
@@ -17,7 +18,7 @@ _RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 def post_json(
     url: str,
     payload: dict,
-    headers: dict | None = None,
+    auth_token_env: str = "",
     timeout: float = 30.0,
     max_retries: int = 3,
     backoff_base: float = 0.5,
@@ -26,8 +27,12 @@ def post_json(
 
     Connection failures and retryable HTTP statuses are retried with
     exponential backoff (max_retries additional attempts).  Anything that
-    comes back 2xx but is not JSON raises ProtocolError.
+    comes back 2xx but is not JSON raises ProtocolError.  When the
+    environment variable named by auth_token_env holds a token, it is sent
+    as ``Authorization: Bearer <token>``; unset or empty, no header is sent.
     """
+    token = os.environ.get(auth_token_env) if auth_token_env else None
+    headers = {"Authorization": f"Bearer {token}"} if token else None
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
         if attempt > 0:

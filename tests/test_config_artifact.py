@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -101,6 +102,90 @@ class TestConfigParsing:
         assert cfg.snapshot()["out_dir"] == "runs/override"
 
 
+# Every accepted key, set to a non-default value of its field's type.
+ALL_KEYS = {
+    "chunk_size": ("300", 300),
+    "overlap": ("15", 15),
+    "embedding.kind": ("remote", "remote"),
+    "embedding.endpoint": ("http://e/v1", "http://e/v1"),
+    "embedding.model_name": ("m-e", "m-e"),
+    "embedding.auth_token_env": ("E_TOK", "E_TOK"),
+    "embedding.batch_size": ("16", 16),
+    "embedding.timeout": ("12.5", 12.5),
+    "embedding.max_retries": ("2", 2),
+    "embedding.parallelism": ("3", 3),
+    "embedding.cache_dir": ("/c", "/c"),
+    "embedding.model_field": ("mf", "mf"),
+    "embedding.input_field": ("inp", "inp"),
+    "embedding.vectors_key": ("vk", "vk"),
+    "embedding.vector_field": ("vf", "vf"),
+    "llm.kind": ("remote-chat", "remote-chat"),
+    "llm.endpoint": ("http://l/v1", "http://l/v1"),
+    "llm.model_name": ("m-l", "m-l"),
+    "llm.auth_token_env": ("L_TOK", "L_TOK"),
+    "llm.temperature": ("0.25", 0.25),
+    "llm.max_output_tokens": ("512", 512),
+    "llm.timeout": ("45", 45.0),
+    "llm.max_retries": ("1", 1),
+    "llm.parallelism": ("2", 2),
+    "llm.context_limit": ("8000", 8000),
+    "llm.context_margin": ("500", 500),
+    "k": ("9", 9),
+    "top_k": ("4", 4),
+    "collapse_runs": ("yes", True),
+    "path_cap": ("18", 18),
+    "mode": ("cluster-sum", "cluster-sum"),
+    "seed": ("11", 11),
+    "out_dir": ("runs/x", "runs/x"),
+}
+
+
+def _setting(cfg: RunConfig, key: str):
+    section, _, name = key.rpartition(".")
+    if not section and name in ("chunk_size", "overlap"):
+        section = "chunker"
+    return getattr(getattr(cfg, section) if section else cfg, name)
+
+
+class TestConfigKeys:
+    def test_every_key_parses_to_its_field_type(self):
+        assert len(ALL_KEYS) == 33
+        cfg = config_from_mapping({key: raw for key, (raw, _) in ALL_KEYS.items()})
+        for key, (_, expected) in ALL_KEYS.items():
+            value = _setting(cfg, key)
+            assert value == expected and type(value) is type(expected), key
+
+    def test_keys_cover_every_snapshot_setting(self):
+        keys = set()
+        for name, value in RunConfig().snapshot().items():
+            if isinstance(value, dict):
+                prefix = "" if name == "chunker" else f"{name}."
+                keys.update(prefix + field for field in value)
+            else:
+                keys.add(name)
+        assert keys == set(ALL_KEYS)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["chunker", "embedding", "llm", "env_templates", "chunker.chunk_size", "llm.k", "embedding.seed"],
+    )
+    def test_keys_outside_the_schema_rejected(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key: {key!r}")):
+            config_from_mapping({key: "1"})
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("llm.context_limit", "many", "llm.context_limit: expected an integer, got 'many'"),
+            ("embedding.timeout", "soon", "embedding.timeout: expected a number, got 'soon'"),
+            ("collapse_runs", "maybe", "collapse_runs: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_bad_value_names_key_and_type(self, key, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_mapping({key: raw})
+
+
 def sample_artifact() -> RunArtifact:
     return RunArtifact(
         mode="markov-cluster",
@@ -169,3 +254,14 @@ class TestArtifact:
         art = sample_artifact()
         art.timings = {"chunk": 0.5}
         assert "timings" not in art.to_dict()
+
+    def test_missing_required_field_named(self):
+        data = sample_artifact().to_dict()
+        del data["labels"]
+        with pytest.raises(ArtifactError, match=re.escape("artifact missing field 'labels'")):
+            RunArtifact.from_dict(data)
+
+    def test_missing_notes_loads_empty(self):
+        data = sample_artifact().to_dict()
+        del data["notes"]
+        assert RunArtifact.from_dict(data).notes == {}

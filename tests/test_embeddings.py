@@ -220,3 +220,10 @@ class TestRemoteProvider:
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, auth_token_env="EMBED_TOKEN")
         embed_batch(["a"], cfg)
         assert server.requests[0]["headers"].get("Authorization") == "Bearer sesame"
+
+    def test_no_authorization_header_when_token_variable_unset(self, stub_server, no_sleep, monkeypatch):
+        monkeypatch.delenv("EMBED_TOKEN", raising=False)
+        server, url = stub_server([(200, _embedding_payload([[1.0, 0.0]]))])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, auth_token_env="EMBED_TOKEN")
+        embed_batch(["a"], cfg)
+        assert "authorization" not in {name.lower() for name in server.requests[0]["headers"]}

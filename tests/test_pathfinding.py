@@ -172,10 +172,6 @@ class TestBackends:
     def test_pure_backend_always_available(self):
         assert "pure" in pathfinding.available_backends()
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("THEMEPATH_DP_BACKEND", "pure")
-        assert pathfinding.default_backend() == "pure"
-
     def test_backends_agree_bit_for_bit(self):
         if "compiled" not in pathfinding.available_backends():
             pytest.skip("compiled kernel not built")
