@@ -1,26 +1,20 @@
-"""Minimal setup.py: builds the Cython path-solver kernel.
+"""Minimal setup.py: builds the plain-C path-solver kernel.
 
-All metadata lives in pyproject.toml.  If Cython or a C compiler is
-unavailable the extension is skipped and the package falls back to the
-pure-numpy kernel at import time.
+All metadata lives in pyproject.toml.  The extension needs only a C
+compiler and the Python headers.  It is optional: if it cannot be built
+the build still succeeds, and the package falls back to the pure-numpy
+kernel at import time.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "themepath._pathcore",
-                ["src/themepath/_pathcore.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "themepath._pathcore",
+            ["src/themepath/_pathcore.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -7,7 +7,6 @@ from .markov import TransitionMatrix, build_transition_matrix, validate_row_stoc
 from .pathfinding import (
     HamiltonianPath,
     path_probability,
-    solve_brute_force,
     solve_dp,
     solve_greedy,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "validate_row_stochastic",
     "HamiltonianPath",
     "path_probability",
-    "solve_brute_force",
     "solve_dp",
     "solve_greedy",
     "coherence",

@@ -1,8 +1,8 @@
-"""Pure-numpy bitmask-DP kernel; fallback when the compiled core is absent.
+"""Pure-numpy bitmask-DP kernel; fallback when the compiled C core is absent.
 
-Computes the same table as ``_pathcore.dp_table_end`` bit for bit: every
-cell is one IEEE add of previously rounded values followed by a max, so the
-two kernels are interchangeable even under exact float comparison.
+Fills the same table as ``_pathcore.fill_table`` bit for bit: every cell is
+one IEEE add of previously rounded values followed by a max, so the two
+kernels are interchangeable even under exact float comparison.
 """
 
 from __future__ import annotations
@@ -10,29 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def dp_table_end(logw: np.ndarray) -> np.ndarray:
-    """Table dp[S, i] = best log-weight of a path visiting set S and ending at i.
+def fill_table(logw: np.ndarray, dp: np.ndarray) -> None:
+    """Fill every cell of cardinality >= 2 of dp[S, i], the ending-at table.
 
-    Recurrence: dp[S, i] = max over j in S\\{i} of dp[S\\{i}, j] + logw[j, i],
-    with dp[{i}, i] = 0.  Subsets are processed by increasing cardinality,
-    one vectorized gather/max per (cardinality, end-node) pair.  Cells for
-    j outside the subset hold -inf and drop out of the max on their own.
+    Recurrence: dp[S, i] = max over j in S\\{i} of dp[S\\{i}, j] + logw[j, i].
+    ``dp`` arrives holding -inf everywhere but the singleton cells
+    dp[{i}, i] = 0.  Subsets are processed by increasing cardinality, one
+    vectorized gather/max per (cardinality, end-node) pair.  Cells for j
+    outside the subset hold -inf and drop out of the max on their own.
     """
-    logw = np.ascontiguousarray(logw, dtype=np.float64)
     k = logw.shape[0]
-    if logw.shape != (k, k):
-        raise ValueError("logw must be square")
-    if not 1 <= k <= 25:
-        raise ValueError(f"k={k} out of range for the bitmask table")
-
-    size = 1 << k
-    dp = np.full((size, k), -np.inf, dtype=np.float64)
-    for i in range(k):
-        dp[1 << i, i] = 0.0
-    if k == 1:
-        return dp
-
-    masks = np.arange(size, dtype=np.int64)
+    masks = np.arange(1 << k, dtype=np.int64)
     pop = np.bitwise_count(masks)
     order = np.argsort(pop, kind="stable")
     boundaries = np.searchsorted(pop[order], np.arange(k + 2))
@@ -41,9 +29,6 @@ def dp_table_end(logw: np.ndarray) -> np.ndarray:
         layer = order[boundaries[c] : boundaries[c + 1]]
         for i in range(k):
             with_i = layer[(layer >> i) & 1 == 1]
-            if with_i.size == 0:
-                continue
             prevs = with_i ^ (1 << i)
             candidates = dp[prevs] + logw[:, i]
             dp[with_i, i] = candidates.max(axis=1)
-    return dp

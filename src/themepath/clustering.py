@@ -10,7 +10,8 @@ expansion ||x||^2 - 2 x.c^T + ||c||^2: one matrix product, clamped at 0
 against rounding.  ||x||^2 is computed once per ``kmeans`` call, so a
 step's working memory is O(n*k) on top of the O(n*d) input, where the
 direct difference formula would hold an n*k*d tensor (about 270 MB at
-n = 2000, d = 768, k = 22).
+n = 2000, d = 768, k = 22).  Seeding's D^2 and each step's inertia are
+computed in one n*d scratch buffer allocated once per ``kmeans`` call.
 """
 
 from __future__ import annotations
@@ -62,18 +63,31 @@ def distinct_count(vectors: np.ndarray) -> int:
     return np.unique(vectors, axis=0).shape[0]
 
 
-def _seed_centroids(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _squared_residuals(vectors: np.ndarray, targets: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``(vectors - targets) ** 2`` written into ``work``, an n x d scratch buffer.
+
+    ``targets`` is one row or an (n, d) array.  The sums taken over the
+    result add the same values in the same order as over the temporary
+    array of the plain expression, so they are bit-identical to it.
+    """
+    np.subtract(vectors, targets, out=work)
+    return np.multiply(work, work, out=work)
+
+
+def _seed_centroids(
+    vectors: np.ndarray, k: int, rng: np.random.Generator, work: np.ndarray
+) -> np.ndarray:
     n = vectors.shape[0]
     centroids = np.empty((k, vectors.shape[1]), dtype=np.float64)
     centroids[0] = vectors[int(rng.integers(n))]
     if k == 1:
         return centroids
-    d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
+    d2 = _squared_residuals(vectors, centroids[0], work).sum(axis=1)
     for i in range(1, k):
         probs = d2 / d2.sum()
         idx = int(rng.choice(n, p=probs))
         centroids[i] = vectors[idx]
-        d2 = np.minimum(d2, ((vectors - centroids[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _squared_residuals(vectors, centroids[i], work).sum(axis=1))
     return centroids
 
 
@@ -96,7 +110,7 @@ def kmeanspp_seed(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     _check_feasible(vectors, k)
-    return _seed_centroids(vectors, k, np.random.default_rng(seed))
+    return _seed_centroids(vectors, k, np.random.default_rng(seed), np.empty_like(vectors))
 
 
 def kmeans(
@@ -117,17 +131,19 @@ def kmeans(
     vectors = np.asarray(vectors, dtype=np.float64)
     _check_feasible(vectors, k)
     norms = _squared_norms(vectors)
+    work = np.empty_like(vectors)  # the one n x d scratch buffer of the whole call
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=np.float64, copy=True)
         if centroids.shape != (k, vectors.shape[1]):
             raise ValueError("init_centroids shape mismatch")
-        return _lloyd(vectors, k, centroids, max_iters, tol, seed, norms)
+        return _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
     rng = np.random.default_rng(seed)
     best: ClusterAssignment | None = None
     for _ in range(n_init):
-        run = _lloyd(vectors, k, _seed_centroids(vectors, k, rng), max_iters, tol, seed, norms)
+        centroids = _seed_centroids(vectors, k, rng, work)
+        run = _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
         if best is None or run.inertia < best.inertia:
             best = run
     return best
@@ -141,6 +157,7 @@ def _lloyd(
     tol: float,
     seed: int,
     vector_norms: np.ndarray,
+    work: np.ndarray,
 ) -> ClusterAssignment:
     """Alternate assignment and centroid update until the centroids settle.
 
@@ -171,7 +188,9 @@ def _lloyd(
         for c in range(k):
             new_centroids[c] = vectors[labels == c].mean(axis=0)
 
-        inertia = float(((vectors - new_centroids[labels]) ** 2).sum())
+        # labels are always in range; mode="raise" would buffer out in an n x d copy
+        np.take(new_centroids, labels, axis=0, out=work, mode="clip")
+        inertia = float(_squared_residuals(vectors, work, work).sum())
         history.append(inertia)
 
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())

@@ -1,13 +1,13 @@
 """Most probable Hamiltonian path over a transition matrix.
 
-Three solvers share one contract: visit every cluster exactly once,
+Both solvers share one contract: visit every cluster exactly once,
 maximize the product of transition probabilities along the way, free
 choice of start and end node.
 
 * ``solve_dp``: exact bitmask dynamic programming, O(k^2 * 2^k) time and
-  O(k * 2^k) space, feasible up to k = 22.  The table kernel is the
-  compiled extension when it is built, else a bit-identical numpy fallback.
-* ``solve_brute_force``: O(k * k!) permutation scan, the oracle for small k.
+  O(k * 2^k) space, feasible up to k = 22.  The table kernel is the plain-C
+  extension ``_pathcore`` when it is built, else a bit-identical numpy
+  fallback.
 * ``solve_greedy``: best-of-k-starts nearest-successor heuristic for k
   beyond the DP cap.
 
@@ -19,7 +19,6 @@ lexicographically smallest order in every solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ except ImportError:
     _pathcore = None
 
 DP_HARD_CAP = 22
-BRUTE_CAP = 10
+_TABLE_MAX_K = 25
 _NEG_INF = float("-inf")
 
 
@@ -59,10 +58,31 @@ def _kernel(backend: str | None):
     if name == "compiled":
         if _pathcore is None:
             raise InfeasibleError("compiled dp backend requested but not built")
-        return _pathcore.dp_table_end
+        return _pathcore.fill_table
     if name == "pure":
-        return _pathpure.dp_table_end
+        return _pathpure.fill_table
     raise ValueError(f"unknown dp backend {name!r}")
+
+
+def _table(logw: np.ndarray, backend: str | None) -> np.ndarray:
+    """Ending-at table dp[S, i] of the k x k log-weights, filled by one kernel.
+
+    Both kernels receive a C-contiguous float64 table holding -inf
+    everywhere but the singleton cells dp[{i}, i] = 0, and fill the cells
+    of cardinality >= 2 in place.
+    """
+    fill = _kernel(backend)
+    logw = np.ascontiguousarray(logw, dtype=np.float64)
+    k = logw.shape[0]
+    if logw.shape != (k, k):
+        raise ValueError("logw must be square")
+    if not 1 <= k <= _TABLE_MAX_K:
+        raise ValueError(f"k={k} out of range for the bitmask table")
+    dp = np.full((1 << k, k), -np.inf, dtype=np.float64)
+    nodes = np.arange(k)
+    dp[1 << nodes, nodes] = 0.0
+    fill(logw, dp)
+    return dp
 
 
 def _log_weights(matrix: TransitionMatrix) -> np.ndarray:
@@ -85,7 +105,7 @@ def path_probability(matrix: TransitionMatrix, order: list[int]) -> float:
 
 def dp_table(matrix: TransitionMatrix, backend: str | None = None) -> np.ndarray:
     """Ending-at table: dp[S, i] = best log-prob over paths visiting S ending at i."""
-    return _kernel(backend)(_log_weights(matrix))
+    return _table(_log_weights(matrix), backend)
 
 
 def solve_dp(
@@ -106,7 +126,7 @@ def solve_dp(
             f"k={k} exceeds the DP cap {cap}; use solve_greedy (or raise the cap)"
         )
     logw = _log_weights(matrix)
-    g = _kernel(backend)(np.ascontiguousarray(logw.T))
+    g = _table(logw.T, backend)
 
     full = (1 << k) - 1
     final = g[full]
@@ -126,40 +146,6 @@ def solve_dp(
         order.append(nxt)
         mask, cur = rest, nxt
     return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="dp")
-
-
-def solve_brute_force(matrix: TransitionMatrix) -> HamiltonianPath:
-    """Exhaustive permutation scan; exact oracle for k <= 10.
-
-    Permutations are visited in lexicographic order and replaced only on a
-    strictly better value, so ties resolve exactly like solve_dp.
-    """
-    k = matrix.k
-    if k < 1:
-        raise ValueError("matrix must have at least one state")
-    if k > BRUTE_CAP:
-        raise InfeasibleError(f"brute force is refused for k={k} > {BRUTE_CAP}")
-    logw = [
-        [math.log(p) if p > 0.0 else _NEG_INF for p in row] for row in matrix.probs.tolist()
-    ]
-    best = _NEG_INF
-    best_order: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(k)):
-        total = 0.0
-        prev = perm[0]
-        for nxt in perm[1:]:
-            w = logw[prev][nxt]
-            if w == _NEG_INF:
-                total = _NEG_INF
-                break
-            total += w
-            prev = nxt
-        if best_order is None or total > best:
-            best = total
-            best_order = perm
-    assert best_order is not None
-    order = list(best_order)
-    return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="brute")
 
 
 def solve_greedy(matrix: TransitionMatrix) -> HamiltonianPath:

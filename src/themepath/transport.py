@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import requests
@@ -13,6 +14,17 @@ from .errors import ProtocolError, TransportError
 _sleep = time.sleep
 
 _RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
+
+# One session per thread: requests.Session is not documented as thread-safe,
+# and each thread's session keeps its connections open for its next calls.
+_sessions = threading.local()
+
+
+def _session() -> requests.Session:
+    session = getattr(_sessions, "session", None)
+    if session is None:
+        session = _sessions.session = requests.Session()
+    return session
 
 
 def post_json(
@@ -27,9 +39,11 @@ def post_json(
 
     Connection failures and retryable HTTP statuses are retried with
     exponential backoff (max_retries additional attempts).  Anything that
-    comes back 2xx but is not JSON raises ProtocolError.  When the
-    environment variable named by auth_token_env holds a token, it is sent
-    as ``Authorization: Bearer <token>``; unset or empty, no header is sent.
+    comes back 2xx but is not JSON raises ProtocolError.  Requests go
+    through the calling thread's session, so consecutive calls to one host
+    reuse a kept-alive connection.  When the environment variable named by
+    auth_token_env holds a token, it is sent as ``Authorization: Bearer
+    <token>``; unset or empty, no header is sent.
     """
     token = os.environ.get(auth_token_env) if auth_token_env else None
     headers = {"Authorization": f"Bearer {token}"} if token else None
@@ -38,7 +52,7 @@ def post_json(
         if attempt > 0:
             _sleep(backoff_base * (2 ** (attempt - 1)))
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            resp = _session().post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
             last_error = exc
             continue

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from conftest import TOPIC_VOCABS, make_topic_document, tokens_per_chunk
+from oracles import solve_brute_force
 from themepath.artifact import to_canonical_json
 from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.cli import main as cli_main
@@ -23,7 +24,7 @@ from themepath.config import RunConfig
 from themepath.embeddings import EmbeddingProviderConfig
 from themepath.evaluation import coherence, evaluate_corpus, rouge_n
 from themepath.markov import TransitionMatrix, build_transition_matrix, validate_row_stochastic
-from themepath.pathfinding import solve_brute_force, solve_dp
+from themepath.pathfinding import solve_dp
 from themepath.pipeline import first_appearance_order, run_pipeline
 from themepath.summarize import LlmProviderConfig
 

@@ -158,6 +158,32 @@ class TestSquaredDistances:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # the n x k x d difference tensor alone is 258 MiB
 
+    def test_kmeans_holds_one_n_by_d_scratch_buffer(self):
+        rng = np.random.default_rng(8)
+        vectors = unit_rows(rng, 2000, 768)
+        tracemalloc.start()
+        try:
+            kmeans(vectors, 22, seed=0, n_init=2, max_iters=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the scratch buffer is 11.7 MiB; one more n x d temporary would pass 23 MiB
+        assert peak < 1.5 * vectors.nbytes
+
+    def test_inertia_and_seeding_keep_the_bits_of_the_plain_expressions(self):
+        vectors = topic_vectors(10, n=400)
+        result = kmeans(vectors, 12, seed=3)
+        assert result.inertia == float(((vectors - result.centroids[result.labels]) ** 2).sum())
+
+        rng = np.random.default_rng(4)
+        n = vectors.shape[0]
+        expected = [vectors[int(rng.integers(n))]]
+        d2 = ((vectors - expected[0]) ** 2).sum(axis=1)
+        for _ in range(1, 12):
+            expected.append(vectors[int(rng.choice(n, p=d2 / d2.sum()))])
+            d2 = np.minimum(d2, ((vectors - expected[-1]) ** 2).sum(axis=1))
+        assert kmeanspp_seed(vectors, 12, seed=4).tobytes() == np.array(expected).tobytes()
+
     def test_kmeans_matches_lloyd_on_the_difference_formula(self, monkeypatch):
         vectors = topic_vectors(9)
         result = kmeans(vectors, 12, seed=0)

@@ -1,5 +1,14 @@
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import pathlib
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -7,13 +16,9 @@ import pytest
 from themepath import pathfinding
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix, build_transition_matrix
-from themepath.pathfinding import (
-    dp_table,
-    path_probability,
-    solve_brute_force,
-    solve_dp,
-    solve_greedy,
-)
+from themepath.pathfinding import dp_table, path_probability, solve_dp, solve_greedy
+
+from oracles import solve_brute_force
 
 # Three-cluster fixture: best order is 0 -> 2 -> 1 with probability 0.7 * 0.8.
 FIXTURE = TransitionMatrix(
@@ -168,19 +173,125 @@ class TestOracleEquivalence:
             assert solve_dp(rescaled).order == solve_dp(matrix).order
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def build_kernel(out_dir: pathlib.Path, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Build the C extension with the project's setup.py into out_dir, not in place."""
+    return subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out_dir), "--build-temp", str(out_dir / "temp")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def built_modules(out_dir: pathlib.Path) -> list[pathlib.Path]:
+    candidates = (out_dir / "themepath" / f"_pathcore{suffix}"
+                  for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    return [path for path in candidates if path.exists()]
+
+
+@pytest.fixture(scope="module")
+def built_pathcore(tmp_path_factory):
+    """The C kernel compiled into a temporary directory and imported from there."""
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(compiler)[0]) is None:
+        pytest.skip(f"no C compiler ({compiler!r}) to build the kernel")
+    out_dir = tmp_path_factory.mktemp("pathcore")
+    proc = build_kernel(out_dir)
+    assert proc.returncode == 0, proc.stderr
+    paths = built_modules(out_dir)
+    assert len(paths) == 1, f"extension not built:\n{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("themepath._pathcore", paths[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled(monkeypatch, built_pathcore):
+    """Make the freshly built kernel the ``compiled`` backend."""
+    monkeypatch.setattr(pathfinding, "_pathcore", built_pathcore)
+    return built_pathcore
+
+
+def sparse_matrix(k: int, seed: int) -> TransitionMatrix:
+    """Random rows with about 30 % of the edges present; every third row is all zero."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((k, k)) * (rng.random((k, k)) < 0.3)
+    probs[::3] = 0.0
+    sums = probs.sum(axis=1, keepdims=True)
+    probs = np.divide(probs, sums, out=np.zeros_like(probs), where=sums > 0)
+    zero_rows = frozenset(int(i) for i in np.flatnonzero(sums[:, 0] == 0))
+    return TransitionMatrix(probs=probs, k=k, zero_rows=zero_rows)
+
+
 class TestBackends:
     def test_pure_backend_always_available(self):
         assert "pure" in pathfinding.available_backends()
 
-    def test_backends_agree_bit_for_bit(self):
-        if "compiled" not in pathfinding.available_backends():
-            pytest.skip("compiled kernel not built")
+    def test_backends_agree_bit_for_bit(self, compiled):
+        assert pathfinding.available_backends() == ["compiled", "pure"]
         for seed in range(20):
             k = 2 + seed % 8
             matrix = random_matrix(k, seed=seed)
-            assert np.array_equal(
-                dp_table(matrix, backend="compiled"), dp_table(matrix, backend="pure")
+            assert (
+                dp_table(matrix, backend="compiled").tobytes()
+                == dp_table(matrix, backend="pure").tobytes()
             )
             a = solve_dp(matrix, backend="compiled")
             b = solve_dp(matrix, backend="pure")
             assert a.order == b.order and a.log_prob == b.log_prob
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_table_bytes_equal_pure_kernel(self, compiled, k):
+        for matrix in (random_matrix(k, seed=k), sparse_matrix(k, seed=k)):
+            compiled_table = dp_table(matrix, backend="compiled")
+            assert compiled_table.tobytes() == dp_table(matrix, backend="pure").tobytes()
+
+    def test_sparse_matrices_have_zero_rows_and_zero_edges(self):
+        matrix = sparse_matrix(9, seed=9)
+        assert {0, 3, 6} <= matrix.zero_rows
+        for i in set(range(9)) - matrix.zero_rows:
+            assert (matrix.probs[i] == 0).any() and matrix.probs[i].sum() == pytest.approx(1.0)
+
+    def test_solve_dp_matches_brute_force(self, compiled):
+        for seed in range(40):
+            k = 1 + seed % 8
+            matrix = random_matrix(k, seed=seed) if seed % 2 else sparse_matrix(k, seed=seed)
+            dp = solve_dp(matrix, backend="compiled")
+            brute = solve_brute_force(matrix)
+            assert (dp.order, dp.log_prob) == (brute.order, brute.log_prob)
+
+    def test_default_backend_is_compiled_once_built(self, compiled):
+        assert pathfinding.default_backend() == "compiled"
+
+    @pytest.mark.parametrize(
+        "logw, table",
+        [
+            (np.zeros(15), np.zeros((8, 3))),  # weights not k x k for any k
+            (np.zeros((3, 3)), np.zeros((8, 2))),  # table too narrow
+            (np.zeros((3, 3)), np.zeros((4, 3))),  # table too short
+            (np.zeros((3, 3)), np.zeros((16, 3))),  # table too long
+            (np.zeros((26, 26)), np.zeros(1)),  # k beyond the table's range
+            (np.zeros(0), np.zeros(0)),  # k = 0
+        ],
+    )
+    def test_wrong_sized_buffers_raise(self, built_pathcore, logw, table):
+        before = table.copy()
+        with pytest.raises(ValueError, match="do not fit"):
+            built_pathcore.fill_table(logw, table)
+        assert np.array_equal(table, before)
+
+    def test_read_only_table_is_refused(self, built_pathcore):
+        table = np.zeros((8, 3))
+        table.flags.writeable = False
+        with pytest.raises(TypeError):
+            built_pathcore.fill_table(np.zeros((3, 3)), table)
+
+    def test_build_without_compiler_succeeds_with_pure_fallback(self, tmp_path):
+        proc = build_kernel(tmp_path, env={**os.environ, "CC": "/bin/false"})
+        assert proc.returncode == 0, proc.stderr
+        assert built_modules(tmp_path) == []
