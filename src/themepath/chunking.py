@@ -82,8 +82,13 @@ def tokenize(text: str) -> TokenSequence:
     return TokenSequence(tokens=tokens, offsets=offsets)
 
 
+def split_tokens(text: str) -> list[str]:
+    """The tokens of text, as tokenize() splits them, without offsets."""
+    return _TOKEN_RE.findall(text)
+
+
 def count_tokens(text: str) -> int:
-    return sum(1 for _ in _TOKEN_RE.finditer(text))
+    return len(split_tokens(text))
 
 
 def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chunk]:

@@ -2,9 +2,10 @@
 
 Two providers share one contract ("texts in, one vector per text out"):
 
-* ``deterministic-test`` hashes token features into a fixed 64-dim vector.
-  It is bit-stable across processes and platforms, which makes every
-  downstream stage testable offline.
+* ``deterministic-test`` hashes token features into a fixed 64-dim vector,
+  hashing each distinct token once per call.  It is bit-stable across
+  processes and platforms, which makes every downstream stage testable
+  offline.
 * ``remote`` speaks a generic "model + inputs -> vectors" HTTP POST
   contract with retry and exponential backoff; field names are
   configurable so it can front any such API.
@@ -19,12 +20,13 @@ import hashlib
 import logging
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chunking import tokenize
+from .chunking import split_tokens
 from .errors import DegenerateInputError, ProtocolError
 from .transport import post_json
 
@@ -84,23 +86,44 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
 
 
-def _test_vector(text: str) -> np.ndarray:
-    """Feature-hash each token into 64 dims, sum, normalize.
+def _token_feature(token: str) -> tuple[int, float]:
+    """The (index, sign) one token adds to a test vector.
 
     Uses sha256 so the result is identical on every platform and process
     (Python's built-in hash() is salted and would not be).
     """
-    vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)
-    for token in tokenize(text.lower()).tokens:
-        digest = hashlib.sha256(_TEST_HASH_SEED + token.encode("utf-8")).digest()
-        idx = int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM
-        vec[idx] += 1.0 if digest[4] & 1 else -1.0
-    if not vec.any():
-        # No tokens, or exact sign cancellation: fall back to a basis vector
-        # derived from the whole text so the output is never degenerate.
-        digest = hashlib.sha256(_TEST_HASH_SEED + text.encode("utf-8")).digest()
-        vec[int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM] = 1.0
-    return normalize(vec)
+    digest = hashlib.sha256(_TEST_HASH_SEED + token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM, 1.0 if digest[4] & 1 else -1.0
+
+
+def _test_vectors(texts: list[str]) -> list[np.ndarray]:
+    """Feature-hash each text's lowercased tokens into 64 dims, sum, normalize.
+
+    Each distinct token is hashed once per call.  Every entry is a sum of
+    +-1 terms, exact in float64, so the order of summation does not change
+    a bit of the result.
+    """
+    features: dict[str, tuple[int, float]] = {}
+    vectors = []
+    for text in texts:
+        vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)
+        for token, count in Counter(split_tokens(text.lower())).items():
+            feature = features.get(token)
+            if feature is None:
+                feature = features[token] = _token_feature(token)
+            idx, sign = feature
+            vec[idx] += sign * count
+        if not vec.any():
+            # No tokens, or exact sign cancellation: fall back to a basis vector
+            # derived from the whole text so the output is never degenerate.
+            digest = hashlib.sha256(_TEST_HASH_SEED + text.encode("utf-8")).digest()
+            vec[int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM] = 1.0
+        vectors.append(normalize(vec))
+    return vectors
+
+
+def _test_vector(text: str) -> np.ndarray:
+    return _test_vectors([text])[0]
 
 
 class EmbeddingCache:
@@ -177,7 +200,7 @@ def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndar
 
 def _provider_vectors(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarray]:
     if cfg.kind == "deterministic-test":
-        return [_test_vector(t) for t in texts]
+        return _test_vectors(texts)
     batches = [texts[i : i + cfg.batch_size] for i in range(0, len(texts), cfg.batch_size)]
     if cfg.parallelism > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:

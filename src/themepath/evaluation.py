@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .chunking import tokenize
+from .chunking import split_tokens
 from .embeddings import EmbeddingProviderConfig, cosine_similarity, embed_batch
 
 _SENTENCE_END = re.compile(r"[.!?]+(?=\s|$)")
@@ -46,7 +46,7 @@ class EvalReport:
 
 
 def _metric_tokens(text: str) -> list[str]:
-    return [t for t in tokenize(text.lower()).tokens if _WORD.match(t)]
+    return [t for t in split_tokens(text.lower()) if _WORD.match(t)]
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:

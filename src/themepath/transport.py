@@ -5,10 +5,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import ProtocolError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 # Patchable in tests so retry paths run instantly.
 _sleep = time.sleep
@@ -21,6 +23,8 @@ _sessions = threading.local()
 
 
 def _session() -> requests.Session:
+    import requests
+
     session = getattr(_sessions, "session", None)
     if session is None:
         session = _sessions.session = requests.Session()
@@ -45,6 +49,10 @@ def post_json(
     auth_token_env holds a token, it is sent as ``Authorization: Bearer
     <token>``; unset or empty, no header is sent.
     """
+    # Imported on first use: loading requests is a large share of the CLI's
+    # start-up, and runs with offline providers never send a request.
+    import requests
+
     token = os.environ.get(auth_token_env) if auth_token_env else None
     headers = {"Authorization": f"Bearer {token}"} if token else None
     last_error: Exception | None = None

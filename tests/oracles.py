@@ -1,10 +1,15 @@
-"""Exhaustive reference solvers the path-solver tests compare against."""
+"""Reference implementations the tests compare the package against."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
+import numpy as np
+
+from themepath.chunking import tokenize
+from themepath.embeddings import _TEST_HASH_SEED, TEST_PROVIDER_DIM, normalize
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix
 from themepath.pathfinding import HamiltonianPath, path_probability
@@ -45,3 +50,16 @@ def solve_brute_force(matrix: TransitionMatrix) -> HamiltonianPath:
     assert best_order is not None
     order = list(best_order)
     return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="brute")
+
+
+def per_token_test_vector(text: str) -> np.ndarray:
+    """The deterministic-test embedding with one sha256 per token occurrence."""
+    vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)
+    for token in tokenize(text.lower()).tokens:
+        digest = hashlib.sha256(_TEST_HASH_SEED + token.encode("utf-8")).digest()
+        idx = int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM
+        vec[idx] += 1.0 if digest[4] & 1 else -1.0
+    if not vec.any():
+        digest = hashlib.sha256(_TEST_HASH_SEED + text.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM] = 1.0
+    return normalize(vec)

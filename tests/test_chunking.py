@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from themepath.chunking import Chunk, ChunkerConfig, chunk_document, count_tokens, tokenize
+from themepath.chunking import (
+    Chunk,
+    ChunkerConfig,
+    chunk_document,
+    count_tokens,
+    split_tokens,
+    tokenize,
+)
 
 
 def make_doc(n_tokens: int) -> str:
@@ -38,6 +45,19 @@ class TestTokenize:
         # offsets strictly increasing and non-overlapping
         for (s1, e1), (s2, e2) in zip(seq.offsets, seq.offsets[1:]):
             assert s1 < e1 <= s2 < e2
+
+
+class TestSplitTokens:
+    @pytest.mark.parametrize(
+        "text",
+        ["Hello, world. It's 3 p.m.", "café au lait, 3 €! 你好吗 İstanbul", "a_b", "", " \t\n "],
+    )
+    def test_same_tokens_as_tokenize(self, text):
+        assert split_tokens(text) == tokenize(text).tokens
+
+    @given(st.text(max_size=200))
+    def test_same_tokens_as_tokenize_on_any_text(self, text):
+        assert split_tokens(text) == tokenize(text).tokens
 
 
 class TestChunkerConfig:

@@ -6,6 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import make_topic_document, tokens_per_chunk
+from oracles import per_token_test_vector
+from themepath import embeddings
+from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.embeddings import (
     EmbeddingCache,
     EmbeddingProviderConfig,
@@ -14,6 +18,7 @@ from themepath.embeddings import (
     embed_batch,
     normalize,
     _test_vector,
+    _test_vectors,
 )
 from themepath.errors import DegenerateInputError, ProtocolError, TransportError
 
@@ -97,6 +102,60 @@ class TestDeterministicProvider:
     def test_embed_batch_requires_texts(self):
         with pytest.raises(ValueError):
             embed_batch([], EmbeddingProviderConfig())
+
+    def test_each_distinct_token_is_hashed_once_per_call(self, monkeypatch):
+        hashed = []
+
+        def counting_feature(token):
+            hashed.append(token)
+            return feature(token)
+
+        feature = embeddings._token_feature
+        monkeypatch.setattr(embeddings, "_token_feature", counting_feature)
+        texts = ["Alpha beta ALPHA.", "beta gamma beta", "Alpha beta ALPHA."]
+        embed_batch(texts, EmbeddingProviderConfig())
+        assert sorted(hashed) == [".", "alpha", "beta", "gamma"]
+        hashed.clear()
+        embed_batch(texts, EmbeddingProviderConfig())
+        assert sorted(hashed) == [".", "alpha", "beta", "gamma"]
+
+
+def _topic_chunk_texts():
+    doc = make_topic_document(7, ["alpha", "beta", "gamma", "delta", "alpha"])
+    cfg = ChunkerConfig(chunk_size=tokens_per_chunk(), overlap=0)
+    return [chunk.text for chunk in chunk_document(doc, cfg)]
+
+
+def _cancelling_text():
+    """Two tokens with the same index and opposite signs, so their sum is 0."""
+    seen = {}
+    for i in range(1000):
+        token = f"w{i}"
+        idx, sign = embeddings._token_feature(token)
+        other = seen.get((idx, -sign))
+        if other is not None:
+            return f"{other} {token} {token.upper()} {other}"
+        seen.setdefault((idx, sign), token)
+    raise AssertionError("no cancelling token pair among 1000 tokens")
+
+
+class TestAgainstPerTokenOracle:
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            _topic_chunk_texts(),
+            ["İstanbul ΣΊΣΥΦΟΣ STRASSE straße", "istanbul σίσυφος strasse"],
+            ["   ", "\t\n", "x"],
+            [_cancelling_text()],
+        ],
+        ids=["topic-chunks", "lowercasing", "whitespace-only", "cancelling-signs"],
+    )
+    def test_bit_identical_to_per_token_hashing(self, texts):
+        want = np.stack([per_token_test_vector(t) for t in texts])
+        assert np.stack(_test_vectors(texts)).tobytes() == want.tobytes()
+
+    def test_cancelling_text_takes_the_fallback_basis_vector(self):
+        assert np.count_nonzero(_test_vector(_cancelling_text())) == 1
 
 
 class TestCache:

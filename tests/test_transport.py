@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -65,3 +67,9 @@ def test_each_thread_keeps_its_own_connection(keep_alive_server):
     assert not any(thread.is_alive() for thread in threads)
     assert len(replies) == 4
     assert server.connections == 2
+
+
+def test_cli_import_leaves_requests_unloaded():
+    code = "import sys, themepath.cli; print('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
