@@ -2,16 +2,21 @@
 
 Tokenization is a deterministic Unicode word tokenizer: maximal runs of
 letters/digits form one token, every other non-whitespace character is its
-own token.  The pipeline only depends on token counts and offsets, not on
-any particular subword vocabulary.
+own token.  The pipeline only depends on token counts and chunk boundaries,
+not on any particular subword vocabulary.  One regex split yields the tokens
+and the whitespace between them, so chunks are cut and their byte spans
+measured without a per-token offset table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
-_TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
+# One capture group: split() returns gap, token, gap, ..., token, gap, so
+# token t is parts[2t + 1]; findall() returns the tokens alone.
+_TOKEN_RE = re.compile(r"([^\W_]+|[^\w\s]|_)")
 
 
 @dataclass
@@ -55,31 +60,14 @@ class Chunk:
 
 
 def tokenize(text: str) -> TokenSequence:
-    """Split text into tokens with exact byte offsets.
+    """Split text into tokens with exact UTF-8 byte offsets.
 
     Every non-whitespace character of the input lands in exactly one token.
     Empty input yields an empty sequence.
     """
-    tokens: list[str] = []
-    offsets: list[tuple[int, int]] = []
-    if text.isascii():
-        for m in _TOKEN_RE.finditer(text):
-            tokens.append(m.group())
-            offsets.append(m.span())
-    else:
-        # Track the char -> byte cursor incrementally; offsets are UTF-8 byte
-        # positions even when the regex works in code points.
-        char_pos = 0
-        byte_pos = 0
-        for m in _TOKEN_RE.finditer(text):
-            byte_pos += len(text[char_pos : m.start()].encode("utf-8"))
-            token = m.group()
-            token_bytes = len(token.encode("utf-8"))
-            tokens.append(token)
-            offsets.append((byte_pos, byte_pos + token_bytes))
-            byte_pos += token_bytes
-            char_pos = m.end()
-    return TokenSequence(tokens=tokens, offsets=offsets)
+    parts = _TOKEN_RE.split(text)
+    bounds = list(accumulate(len(p.encode("utf-8")) for p in parts))
+    return TokenSequence(parts[1::2], list(zip(bounds[0::2], bounds[1::2])))
 
 
 def split_tokens(text: str) -> list[str]:
@@ -99,30 +87,19 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
     even when short so no token is dropped.  A document with no tokens
     yields no chunks.
     """
-    seq = tokenize(text)
-    total = len(seq)
-    if total == 0:
-        return []
-
-    encoded = text.encode("utf-8")
-    stride = cfg.chunk_size - cfg.overlap
+    parts = _TOKEN_RE.split(text)
+    total = len(parts) // 2
     chunks: list[Chunk] = []
-    index = 0
-    start = 0
-    while True:
+    # byte_start is the UTF-8 offset of parts[cursor]; it advances from one
+    # chunk start to the next, so only the text between them is re-encoded.
+    cursor = byte_start = 0
+    for start in range(0, total, cfg.chunk_size - cfg.overlap):
         end = min(start + cfg.chunk_size, total)
-        byte_start = seq.offsets[start][0]
-        byte_end = seq.offsets[end - 1][1]
-        chunks.append(
-            Chunk(
-                index=index,
-                text=encoded[byte_start:byte_end].decode("utf-8"),
-                token_count=end - start,
-                byte_span=(byte_start, byte_end),
-                token_span=(start, end),
-            )
-        )
-        if end >= total:
-            return chunks
-        index += 1
-        start = index * stride
+        byte_start += len("".join(parts[cursor : 2 * start + 1]).encode("utf-8"))
+        cursor = 2 * start + 1
+        body = "".join(parts[cursor : 2 * end])
+        byte_span = (byte_start, byte_start + len(body.encode("utf-8")))
+        chunks.append(Chunk(len(chunks), body, end - start, byte_span, (start, end)))
+        if end == total:
+            break
+    return chunks

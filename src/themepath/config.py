@@ -56,8 +56,10 @@ class RunConfig:
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.path_cap < 1:
-            raise ConfigError("path_cap must be >= 1")
+        if not 1 <= self.path_cap <= DP_HARD_CAP:
+            raise ConfigError(
+                f"path_cap must satisfy 1 <= path_cap <= {DP_HARD_CAP}, got {self.path_cap}"
+            )
 
     def snapshot(self) -> dict:
         """JSON-ready copy of every setting; contains no secret values."""

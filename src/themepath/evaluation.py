@@ -15,11 +15,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .chunking import split_tokens
 from .embeddings import EmbeddingProviderConfig, cosine_similarity, embed_batch
 
 _SENTENCE_END = re.compile(r"[.!?]+(?=\s|$)")
-_WORD = re.compile(r"[^\W_]+$", re.UNICODE)
+# The letter/digit runs the package tokenizer emits; its punctuation and "_"
+# tokens are not metric tokens.
+_WORD = re.compile(r"[^\W_]+")
 
 
 @dataclass
@@ -46,7 +47,7 @@ class EvalReport:
 
 
 def _metric_tokens(text: str) -> list[str]:
-    return [t for t in split_tokens(text.lower()) if _WORD.match(t)]
+    return _WORD.findall(text.lower())
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:

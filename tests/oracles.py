@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 
-from themepath.chunking import tokenize
+from themepath.chunking import Chunk, ChunkerConfig, TokenSequence
 from themepath.embeddings import _TEST_HASH_SEED, TEST_PROVIDER_DIM, normalize
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix
@@ -16,6 +17,62 @@ from themepath.pathfinding import HamiltonianPath, path_probability
 
 BRUTE_CAP = 10
 _NEG_INF = float("-inf")
+_TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
+
+
+def oracle_tokenize(text: str) -> TokenSequence:
+    """Tokens with UTF-8 byte offsets, one regex match at a time."""
+    tokens: list[str] = []
+    offsets: list[tuple[int, int]] = []
+    if text.isascii():
+        for m in _TOKEN_RE.finditer(text):
+            tokens.append(m.group())
+            offsets.append(m.span())
+    else:
+        # Track the char -> byte cursor incrementally; offsets are UTF-8 byte
+        # positions even when the regex works in code points.
+        char_pos = 0
+        byte_pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            byte_pos += len(text[char_pos : m.start()].encode("utf-8"))
+            token = m.group()
+            token_bytes = len(token.encode("utf-8"))
+            tokens.append(token)
+            offsets.append((byte_pos, byte_pos + token_bytes))
+            byte_pos += token_bytes
+            char_pos = m.end()
+    return TokenSequence(tokens=tokens, offsets=offsets)
+
+
+def oracle_chunk_document(text: str, cfg: ChunkerConfig) -> list[Chunk]:
+    """Fixed-size overlapping token windows, cut at oracle_tokenize's offsets."""
+    seq = oracle_tokenize(text)
+    total = len(seq)
+    if total == 0:
+        return []
+
+    encoded = text.encode("utf-8")
+    stride = cfg.chunk_size - cfg.overlap
+    chunks: list[Chunk] = []
+    index = 0
+    start = 0
+    while True:
+        end = min(start + cfg.chunk_size, total)
+        byte_start = seq.offsets[start][0]
+        byte_end = seq.offsets[end - 1][1]
+        chunks.append(
+            Chunk(
+                index=index,
+                text=encoded[byte_start:byte_end].decode("utf-8"),
+                token_count=end - start,
+                byte_span=(byte_start, byte_end),
+                token_span=(start, end),
+            )
+        )
+        if end >= total:
+            return chunks
+        index += 1
+        start = index * stride
 
 
 def solve_brute_force(matrix: TransitionMatrix) -> HamiltonianPath:
@@ -55,7 +112,7 @@ def solve_brute_force(matrix: TransitionMatrix) -> HamiltonianPath:
 def per_token_test_vector(text: str) -> np.ndarray:
     """The deterministic-test embedding with one sha256 per token occurrence."""
     vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)
-    for token in tokenize(text.lower()).tokens:
+    for token in oracle_tokenize(text.lower()).tokens:
         digest = hashlib.sha256(_TEST_HASH_SEED + token.encode("utf-8")).digest()
         idx = int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM
         vec[idx] += 1.0 if digest[4] & 1 else -1.0

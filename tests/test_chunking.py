@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import tracemalloc
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from oracles import oracle_chunk_document, oracle_tokenize
 from themepath.chunking import (
     Chunk,
     ChunkerConfig,
@@ -13,6 +16,16 @@ from themepath.chunking import (
 
 def make_doc(n_tokens: int) -> str:
     return " ".join(f"w{i}" for i in range(n_tokens))
+
+
+# Multi-byte letters and symbols (2, 3 and 4 UTF-8 bytes), "İ" (whose
+# lowercase is two code points), "_", digits, punctuation and mixed whitespace,
+# plus any character UTF-8 can encode (a document is read as UTF-8).
+unicode_text = st.text(
+    alphabet=st.sampled_from(list("aZ9_,.'é€你İß😀 \t\n\u00a0\u3000"))
+    | st.characters(codec="utf-8"),
+    max_size=60,
+)
 
 
 class TestTokenize:
@@ -103,6 +116,30 @@ class TestChunkDocument:
         for c in chunks:
             assert encoded[c.byte_span[0] : c.byte_span[1]].decode("utf-8") == c.text
             assert count_tokens(c.text) == c.token_count
+
+    @given(unicode_text)
+    @example("")
+    @example(" \t\n \u3000 ")
+    @example("İstanbul_ΣΊΣΥΦΟΣ, straße! 3 € 你好吗\n\tend_")
+    def test_matches_oracle_on_unicode_for_every_small_config(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+        for chunk_size in range(1, 13):
+            for overlap in range(chunk_size):
+                cfg = ChunkerConfig(chunk_size, overlap)
+                assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+
+    def test_peak_memory_bounded_per_token(self):
+        n_tokens = 100_000
+        text = make_doc(n_tokens)
+        tracemalloc.start()
+        try:
+            chunks = chunk_document(text, ChunkerConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks[-1].token_span[1] == n_tokens
+        # A per-token offset table alone costs over 100 bytes per token.
+        assert peak < 100 * n_tokens
 
     @given(
         n_tokens=st.integers(min_value=1, max_value=2500),

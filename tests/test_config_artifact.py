@@ -69,6 +69,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_mapping({"chunk_size": "10", "overlap": "10"})
 
+    @pytest.mark.parametrize("path_cap", [0, 23, 30])
+    def test_path_cap_outside_solver_range_rejected(self, path_cap):
+        message = f"path_cap must satisfy 1 <= path_cap <= 22, got {path_cap}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_mapping({"path_cap": str(path_cap), "k": "26"})
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"mode": "???"})

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from themepath.chunking import split_tokens
 from themepath.embeddings import EmbeddingProviderConfig, cosine_similarity, embed_batch
 from themepath.evaluation import (
+    _metric_tokens,
     coherence,
     evaluate_corpus,
     render_table,
@@ -80,6 +84,14 @@ class TestRougeN:
     @given(words.filter(lambda t: t))
     def test_self_f1_is_one(self, text):
         assert rouge_n(text, text, 1).f1 == 1.0
+
+
+class TestMetricTokens:
+    @given(st.text(max_size=200))
+    @example("İstanbul_ΣΊΣΥΦΟΣ, STRASSE straße! a_b 3.5 € 你好吗")
+    def test_word_tokens_of_the_package_tokenizer(self, text):
+        words = [t for t in split_tokens(text.lower()) if re.fullmatch(r"[^\W_]+", t)]
+        assert _metric_tokens(text) == words
 
 
 class TestSplitSentences:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -6,6 +7,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import themepath.transport
+from themepath.errors import TransportError
 from themepath.transport import post_json
 
 
@@ -67,6 +70,16 @@ def test_each_thread_keeps_its_own_connection(keep_alive_server):
     assert not any(thread.is_alive() for thread in threads)
     assert len(replies) == 4
     assert server.connections == 2
+
+
+@pytest.mark.parametrize("url", ["", "localhost:9/v1/embed", "ftp://127.0.0.1/v1/embed", "http://"])
+def test_unsendable_url_fails_on_the_first_attempt(url, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
+    with pytest.raises(TransportError, match=f"^cannot send to {re.escape(repr(url))}: ") as info:
+        post_json(url, {"n": 1})
+    assert sleeps == []
+    assert "attempts" not in str(info.value)
 
 
 def test_cli_import_leaves_requests_unloaded():
