@@ -71,8 +71,10 @@ def _apply_overrides(cfg: RunConfig, mode, k, seed, out_dir, provider) -> RunCon
         cfg.embedding.kind = "remote"
         cfg.llm.kind = "remote-chat"
     try:
+        cfg.embedding.__post_init__()
+        cfg.llm.__post_init__()
         cfg.__post_init__()
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         _fail(USAGE_ERROR, str(exc))
     return cfg
 

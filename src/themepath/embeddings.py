@@ -56,6 +56,8 @@ class EmbeddingProviderConfig:
     def __post_init__(self):
         if self.kind not in ("deterministic-test", "remote"):
             raise ValueError(f"unknown embedding provider kind: {self.kind!r}")
+        if self.kind == "remote" and not self.endpoint:
+            raise ValueError("remote embedding provider requires an endpoint")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_retries < 0:

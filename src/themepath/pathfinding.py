@@ -4,10 +4,15 @@ Both solvers share one contract: visit every cluster exactly once,
 maximize the product of transition probabilities along the way, free
 choice of start and end node.
 
-* ``solve_dp``: exact bitmask dynamic programming, O(k^2 * 2^k) time and
-  O(k * 2^k) space, feasible up to k = 22.  The table kernel is the plain-C
-  extension ``_pathcore`` when it is built, else a bit-identical numpy
-  fallback.
+* ``solve_dp``: exact bitmask dynamic programming (Held-Karp), O(k^2 * 2^k)
+  time, feasible up to k = DP_HARD_CAP = 22.  Its kernel fills the subsets
+  in cardinality order, keeps the values of only two adjacent
+  cardinalities, and records one int8 successor per (subset, node) cell
+  for the walk.  Space: the 2^k * k byte successor table plus the two
+  layers, about 21 + 30 MB at k = 20 and 92 + 124 MB at k = 22 with the
+  compiled kernel (a full 2^k x k float64 table would take 168 MB and
+  738 MB).  The kernel is the plain-C extension ``_pathcore`` when it is
+  built, else a bit-identical numpy fallback; both refuse k > DP_HARD_CAP.
 * ``solve_greedy``: best-of-k-starts nearest-successor heuristic for k
   beyond the DP cap.
 
@@ -33,8 +38,7 @@ try:
 except ImportError:
     _pathcore = None
 
-DP_HARD_CAP = 22
-_TABLE_MAX_K = 25
+DP_HARD_CAP = _pathpure.MAX_K  # the largest k either kernel accepts
 _NEG_INF = float("-inf")
 
 
@@ -58,31 +62,10 @@ def _kernel(backend: str | None):
     if name == "compiled":
         if _pathcore is None:
             raise InfeasibleError("compiled dp backend requested but not built")
-        return _pathcore.fill_table
+        return _pathcore.fill_successors
     if name == "pure":
-        return _pathpure.fill_table
+        return _pathpure.fill_successors
     raise ValueError(f"unknown dp backend {name!r}")
-
-
-def _table(logw: np.ndarray, backend: str | None) -> np.ndarray:
-    """Ending-at table dp[S, i] of the k x k log-weights, filled by one kernel.
-
-    Both kernels receive a C-contiguous float64 table holding -inf
-    everywhere but the singleton cells dp[{i}, i] = 0, and fill the cells
-    of cardinality >= 2 in place.
-    """
-    fill = _kernel(backend)
-    logw = np.ascontiguousarray(logw, dtype=np.float64)
-    k = logw.shape[0]
-    if logw.shape != (k, k):
-        raise ValueError("logw must be square")
-    if not 1 <= k <= _TABLE_MAX_K:
-        raise ValueError(f"k={k} out of range for the bitmask table")
-    dp = np.full((1 << k, k), -np.inf, dtype=np.float64)
-    nodes = np.arange(k)
-    dp[1 << nodes, nodes] = 0.0
-    fill(logw, dp)
-    return dp
 
 
 def _log_weights(matrix: TransitionMatrix) -> np.ndarray:
@@ -103,48 +86,40 @@ def path_probability(matrix: TransitionMatrix, order: list[int]) -> float:
     return total
 
 
-def dp_table(matrix: TransitionMatrix, backend: str | None = None) -> np.ndarray:
-    """Ending-at table: dp[S, i] = best log-prob over paths visiting S ending at i."""
-    return _table(_log_weights(matrix), backend)
-
-
 def solve_dp(
     matrix: TransitionMatrix, cap: int = DP_HARD_CAP, backend: str | None = None
 ) -> HamiltonianPath:
-    """Exact solution via the subset table, reconstructed front to back.
+    """Exact solution via the subset DP, reconstructed front to back.
 
-    The start-at table g (the ending-at table of the transposed weights)
-    lets the walk pick the smallest next node whose value matches the
-    recurrence exactly, which yields the lexicographically smallest of all
-    optimal orders without a parent table.
+    The kernel fills the start-at recurrence g[S, i] (best log-prob over
+    paths that visit S starting at i) and records, per cell, the smallest
+    successor that attains it.  The walk starts at the first argmax of
+    g[full, .] and follows those successors, which yields the
+    lexicographically smallest of all optimal orders.
     """
     k = matrix.k
     if k < 1:
         raise ValueError("matrix must have at least one state")
+    if cap > DP_HARD_CAP:
+        raise ValueError(f"cap={cap} exceeds DP_HARD_CAP={DP_HARD_CAP}")
     if k > cap:
         raise InfeasibleError(
-            f"k={k} exceeds the DP cap {cap}; use solve_greedy (or raise the cap)"
+            f"k={k} exceeds the DP cap {cap}; use solve_greedy or fewer clusters"
         )
-    logw = _log_weights(matrix)
-    g = _table(logw.T, backend)
+    fill = _kernel(backend)
+    logw = np.ascontiguousarray(_log_weights(matrix).T, dtype=np.float64)
+    succ = np.empty((1 << k, k), dtype=np.int8)
+    final = np.empty(k, dtype=np.float64)
+    fill(logw, succ, final)
 
-    full = (1 << k) - 1
-    final = g[full]
-    start = int(np.flatnonzero(final == final.max())[0])
-    order = [start]
-    mask, cur = full, start
+    cur = int(np.argmax(final))
+    order = [cur]
+    mask = (1 << k) - 1
     while len(order) < k:
-        rest = mask ^ (1 << cur)
-        target = g[mask, cur]
-        nxt = -1
-        for j in range(k):
-            if (rest >> j) & 1 and logw[cur, j] + g[rest, j] == target:
-                nxt = j
-                break
-        if nxt < 0:
-            raise RuntimeError("dp reconstruction found no successor; table corrupt")
+        nxt = int(succ[mask, cur])
         order.append(nxt)
-        mask, cur = rest, nxt
+        mask ^= 1 << cur
+        cur = nxt
     return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="dp")
 
 

@@ -49,6 +49,8 @@ class LlmProviderConfig:
     def __post_init__(self):
         if self.kind not in ("mock-extractive", "remote-chat"):
             raise ValueError(f"unknown llm provider kind: {self.kind!r}")
+        if self.kind == "remote-chat" and not self.endpoint:
+            raise ValueError("remote-chat provider requires an endpoint")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:
@@ -100,8 +102,6 @@ class RemoteChatProvider:
     """Chat-completion HTTP contract with retry and bearer-token auth."""
 
     def __init__(self, cfg: LlmProviderConfig):
-        if not cfg.endpoint:
-            raise ValueError("remote-chat provider requires an endpoint")
         self.cfg = cfg
 
     def _complete(self, user_prompt: str) -> tuple[str, dict]:

@@ -109,6 +109,50 @@ def solve_brute_force(matrix: TransitionMatrix) -> HamiltonianPath:
     return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="brute")
 
 
+def oracle_dp_table(logw: np.ndarray) -> np.ndarray:
+    """The full 2^k x k ending-at table of the k x k weights, one cardinality at a time.
+
+    dp[S, i] = max over j in S\\{i} of dp[S\\{i}, j] + logw[j, i], from
+    dp[{i}, i] = 0; cells with i outside S hold -inf.
+    """
+    k = logw.shape[0]
+    dp = np.full((1 << k, k), -np.inf)
+    nodes = np.arange(k)
+    dp[1 << nodes, nodes] = 0.0
+    masks = np.arange(1 << k, dtype=np.int64)
+    pop = np.bitwise_count(masks)
+    for c in range(2, k + 1):
+        layer = masks[pop == c]
+        for i in range(k):
+            with_i = layer[(layer >> i) & 1 == 1]
+            dp[with_i, i] = (dp[with_i ^ (1 << i)] + logw[:, i]).max(axis=1)
+    return dp
+
+
+def oracle_solve_dp(matrix: TransitionMatrix) -> HamiltonianPath:
+    """The full-table solver: the start-at table g, walked front to back.
+
+    From the first argmax of g[full], each step takes the smallest next node
+    whose value meets the recurrence exactly.
+    """
+    k = matrix.k
+    with np.errstate(divide="ignore"):
+        logw = np.log(matrix.probs)
+    g = oracle_dp_table(np.ascontiguousarray(logw.T))
+    full = (1 << k) - 1
+    final = g[full]
+    start = int(np.flatnonzero(final == final.max())[0])
+    order = [start]
+    mask, cur = full, start
+    while len(order) < k:
+        rest = mask ^ (1 << cur)
+        target = g[mask, cur]
+        nxt = next(j for j in range(k) if (rest >> j) & 1 and logw[cur, j] + g[rest, j] == target)
+        order.append(nxt)
+        mask, cur = rest, nxt
+    return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="dp")
+
+
 def per_token_test_vector(text: str) -> np.ndarray:
     """The deterministic-test embedding with one sha256 per token occurrence."""
     vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)

@@ -132,6 +132,15 @@ class TestSummarizeCommand:
         assert "stage 'embed'" in result.output
 
 
+    def test_remote_provider_without_endpoint_exits_2_before_any_stage(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Some document. With sentences.")
+        result = CliRunner().invoke(main, ["summarize", str(doc), "--provider", "remote"])
+        assert result.exit_code == 2
+        assert "error: remote embedding provider requires an endpoint" in result.output
+        assert "[stage]" not in result.output
+
+
 def fixture_artifact(tmp_path) -> str:
     """Artifact built around the k=3 pathfinding fixture and markov example."""
     matrix = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.2, 0.8, 0.0]])

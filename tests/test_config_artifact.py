@@ -75,6 +75,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_mapping({"path_cap": str(path_cap), "k": "26"})
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ["embedding.kind = remote", "embedding.endpoint ="],
+                "remote embedding provider requires an endpoint",
+            ),
+            (["llm.kind = remote-chat"], "remote-chat provider requires an endpoint"),
+        ],
+    )
+    def test_remote_provider_without_endpoint_rejected(self, tmp_path, lines, message):
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(str(path))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"mode": "???"})

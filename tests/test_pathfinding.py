@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ import pytest
 from themepath import pathfinding
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix, build_transition_matrix
-from themepath.pathfinding import dp_table, path_probability, solve_dp, solve_greedy
+from themepath.pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
 
-from oracles import solve_brute_force
+from oracles import oracle_dp_table, oracle_solve_dp, solve_brute_force
 
 # Three-cluster fixture: best order is 0 -> 2 -> 1 with probability 0.7 * 0.8.
 FIXTURE = TransitionMatrix(
@@ -35,11 +36,28 @@ def random_matrix(k: int, seed: int) -> TransitionMatrix:
     return TransitionMatrix(probs=probs, k=k, zero_rows=frozenset())
 
 
+def log_weights(matrix: TransitionMatrix) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(matrix.probs)
+
+
+def successors(matrix: TransitionMatrix, backend: str) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel's (succ, final) for the matrix, as solve_dp calls it.
+
+    succ starts as -1 everywhere, so cells a kernel does not define compare
+    equal only if neither kernel writes them.
+    """
+    k = matrix.k
+    succ = np.full((1 << k, k), -1, dtype=np.int8)
+    final = np.full(k, np.nan)
+    pathfinding._kernel(backend)(np.ascontiguousarray(log_weights(matrix).T), succ, final)
+    return succ, final
+
+
 def table_oracle(matrix: TransitionMatrix) -> np.ndarray:
     """Exhaustive dp-table reference: best path over subset S ending at i."""
     k = matrix.k
-    with np.errstate(divide="ignore"):
-        logw = np.log(matrix.probs)
+    logw = log_weights(matrix)
     table = np.full((1 << k, k), -np.inf)
     for mask in range(1, 1 << k):
         nodes = [i for i in range(k) if mask >> i & 1]
@@ -73,6 +91,21 @@ class TestSolveDp:
         matrix = random_matrix(6, seed=0)
         with pytest.raises(InfeasibleError, match="greedy"):
             solve_dp(matrix, cap=5)
+
+    def test_k_beyond_hard_cap_is_refused(self):
+        matrix = random_matrix(23, seed=0)
+        with pytest.raises(
+            InfeasibleError, match=r"^k=23 exceeds the DP cap 22; use solve_greedy or fewer clusters$"
+        ):
+            solve_dp(matrix)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^cap=23 exceeds DP_HARD_CAP=22$"):
+                solve_dp(matrix, cap=23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # raised before any table was allocated
 
     def test_zero_row_from_terminal_cluster_is_handled(self):
         matrix = build_transition_matrix([0, 0, 1, 2], 3)
@@ -155,12 +188,28 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_dp_table_semantics(self, k):
-        matrix = random_matrix(k, seed=100 + k)
-        table = dp_table(matrix)
-        oracle = table_oracle(matrix)
-        finite = np.isfinite(oracle)
-        assert np.array_equal(np.isfinite(table), finite)
-        assert np.allclose(table[finite], oracle[finite], atol=1e-9)
+        """The full-table reference and each kernel's final row mean best paths."""
+        for matrix in (random_matrix(k, seed=100 + k), sparse_matrix(k, seed=100 + k)):
+            table = oracle_dp_table(log_weights(matrix))
+            oracle = table_oracle(matrix)
+            finite = np.isfinite(oracle)
+            assert np.array_equal(np.isfinite(table), finite)
+            assert np.allclose(table[finite], oracle[finite], atol=1e-9)
+            start_at = oracle_dp_table(np.ascontiguousarray(log_weights(matrix).T))
+            for backend in pathfinding.available_backends():
+                final = successors(matrix, backend)[1]
+                assert final.tobytes() == start_at[-1].tobytes()
+
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    def test_dp_orders_equal_the_full_table_walk(self, request, backend):
+        if backend == "compiled":
+            request.getfixturevalue("compiled")
+        for seed in range(80):
+            k = 1 + seed % 10
+            for matrix in special_matrices(k, seed):
+                old = oracle_solve_dp(matrix)
+                new = solve_dp(matrix, backend=backend)
+                assert (new.order, new.log_prob) == (old.order, old.log_prob)
 
     def test_row_rescaling_then_renormalizing_keeps_argmax(self):
         for seed in range(20):
@@ -191,12 +240,16 @@ def built_modules(out_dir: pathlib.Path) -> list[pathlib.Path]:
     return [path for path in candidates if path.exists()]
 
 
-@pytest.fixture(scope="module")
-def built_pathcore(tmp_path_factory):
-    """The C kernel compiled into a temporary directory and imported from there."""
+def needs_compiler() -> None:
     compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(shlex.split(compiler)[0]) is None:
         pytest.skip(f"no C compiler ({compiler!r}) to build the kernel")
+
+
+@pytest.fixture(scope="module")
+def built_pathcore(tmp_path_factory):
+    """The C kernel compiled into a temporary directory and imported from there."""
+    needs_compiler()
     out_dir = tmp_path_factory.mktemp("pathcore")
     proc = build_kernel(out_dir)
     assert proc.returncode == 0, proc.stderr
@@ -226,6 +279,21 @@ def sparse_matrix(k: int, seed: int) -> TransitionMatrix:
     return TransitionMatrix(probs=probs, k=k, zero_rows=zero_rows)
 
 
+def special_matrices(k: int, seed: int) -> list[TransitionMatrix]:
+    """Random, sparse, all-zero, tied (a few equal probabilities) and uniform rows."""
+    rng = np.random.default_rng(seed)
+    tied = rng.integers(0, 3, size=(k, k)).astype(np.float64)
+    sums = tied.sum(axis=1, keepdims=True)
+    tied = np.divide(tied, sums, out=np.zeros_like(tied), where=sums > 0)
+    return [
+        random_matrix(k, seed),
+        sparse_matrix(k, seed),
+        TransitionMatrix(np.zeros((k, k)), k, frozenset(range(k))),
+        TransitionMatrix(tied, k, frozenset(int(i) for i in np.flatnonzero(sums[:, 0] == 0))),
+        TransitionMatrix(np.full((k, k), 1.0 / k), k, frozenset()),
+    ]
+
+
 class TestBackends:
     def test_pure_backend_always_available(self):
         assert "pure" in pathfinding.available_backends()
@@ -235,10 +303,9 @@ class TestBackends:
         for seed in range(20):
             k = 2 + seed % 8
             matrix = random_matrix(k, seed=seed)
-            assert (
-                dp_table(matrix, backend="compiled").tobytes()
-                == dp_table(matrix, backend="pure").tobytes()
-            )
+            a_succ, a_final = successors(matrix, "compiled")
+            b_succ, b_final = successors(matrix, "pure")
+            assert (a_succ.tobytes(), a_final.tobytes()) == (b_succ.tobytes(), b_final.tobytes())
             a = solve_dp(matrix, backend="compiled")
             b = solve_dp(matrix, backend="pure")
             assert a.order == b.order and a.log_prob == b.log_prob
@@ -247,9 +314,12 @@ class TestBackends:
 class TestCompiledKernel:
     @pytest.mark.parametrize("k", range(1, 15))
     def test_table_bytes_equal_pure_kernel(self, compiled, k):
+        """The successor table and the final row, byte for byte."""
         for matrix in (random_matrix(k, seed=k), sparse_matrix(k, seed=k)):
-            compiled_table = dp_table(matrix, backend="compiled")
-            assert compiled_table.tobytes() == dp_table(matrix, backend="pure").tobytes()
+            succ, final = successors(matrix, "compiled")
+            pure_succ, pure_final = successors(matrix, "pure")
+            assert succ.tobytes() == pure_succ.tobytes()
+            assert final.tobytes() == pure_final.tobytes()
 
     def test_sparse_matrices_have_zero_rows_and_zero_edges(self):
         matrix = sparse_matrix(9, seed=9)
@@ -271,25 +341,61 @@ class TestCompiledKernel:
     @pytest.mark.parametrize(
         "logw, table",
         [
-            (np.zeros(15), np.zeros((8, 3))),  # weights not k x k for any k
-            (np.zeros((3, 3)), np.zeros((8, 2))),  # table too narrow
-            (np.zeros((3, 3)), np.zeros((4, 3))),  # table too short
-            (np.zeros((3, 3)), np.zeros((16, 3))),  # table too long
-            (np.zeros((26, 26)), np.zeros(1)),  # k beyond the table's range
-            (np.zeros(0), np.zeros(0)),  # k = 0
+            # table: the (succ, final) pair of output buffers
+            (np.zeros(15), (np.zeros((8, 3), np.int8), np.zeros(3))),  # weights not k x k
+            (np.zeros((3, 3)), (np.zeros((8, 2), np.int8), np.zeros(3))),  # succ too narrow
+            (np.zeros((3, 3)), (np.zeros((4, 3), np.int8), np.zeros(3))),  # succ too short
+            (np.zeros((3, 3)), (np.zeros((16, 3), np.int8), np.zeros(3))),  # succ too long
+            (np.zeros((26, 26)), (np.zeros(1, np.int8), np.zeros(26))),  # k beyond the cap
+            (np.zeros(0), (np.zeros(0, np.int8), np.zeros(0))),  # k = 0
+            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(2))),  # final too short
+            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(3, np.float32))),  # final too narrow
         ],
     )
     def test_wrong_sized_buffers_raise(self, built_pathcore, logw, table):
-        before = table.copy()
-        with pytest.raises(ValueError, match="do not fit"):
-            built_pathcore.fill_table(logw, table)
-        assert np.array_equal(table, before)
+        succ, final = table
+        before = (succ.tobytes(), final.tobytes())
+        with pytest.raises(ValueError, match="do not fit|exceeds the kernel's cap"):
+            built_pathcore.fill_successors(logw, succ, final)
+        assert (succ.tobytes(), final.tobytes()) == before
 
     def test_read_only_table_is_refused(self, built_pathcore):
-        table = np.zeros((8, 3))
-        table.flags.writeable = False
-        with pytest.raises(TypeError):
-            built_pathcore.fill_table(np.zeros((3, 3)), table)
+        for read_only in (0, 1):
+            buffers = (np.zeros((8, 3), np.int8), np.zeros(3))
+            buffers[read_only].flags.writeable = False
+            with pytest.raises(TypeError):
+                built_pathcore.fill_successors(np.zeros((3, 3)), *buffers)
+            assert not buffers[0].any() and not buffers[1].any()
+
+    def test_both_kernels_refuse_k_beyond_the_hard_cap(self, built_pathcore):
+        assert built_pathcore.MAX_K == pathfinding._pathpure.MAX_K == DP_HARD_CAP == 22
+        for fill in (built_pathcore.fill_successors, pathfinding._pathpure.fill_successors):
+            succ, final = np.zeros(1, np.int8), np.zeros(23)
+            with pytest.raises(ValueError, match=r"^k=23 exceeds the kernel's cap of 22$"):
+                fill(np.zeros((23, 23)), succ, final)
+            assert not succ.any() and not final.any()
+
+    @pytest.mark.parametrize("backend, bound", [("compiled", 0.6), ("pure", 1.0)])
+    def test_solve_peak_memory_at_k18(self, request, backend, bound):
+        """A whole solve stays below a fraction of the old 2^k x k float64 table."""
+        if backend == "compiled":
+            request.getfixturevalue("compiled")
+        k = 18
+        matrix = random_matrix(k, seed=18)
+        tracemalloc.start()
+        try:
+            solve_dp(matrix, backend=backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (1 << k) * k * 8
+
+    def test_kernel_builds_without_warnings(self, tmp_path):
+        needs_compiler()
+        env = {**os.environ, "CFLAGS": "-Wall -Wextra -Werror"}
+        proc = build_kernel(tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert len(built_modules(tmp_path)) == 1, proc.stderr
 
     def test_build_without_compiler_succeeds_with_pure_fallback(self, tmp_path):
         proc = build_kernel(tmp_path, env={**os.environ, "CC": "/bin/false"})
