@@ -21,14 +21,14 @@ import logging
 import os
 import tempfile
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .chunking import split_tokens
 from .errors import DegenerateInputError, ProtocolError
-from .transport import post_json
+from .transport import map_ordered, post_json
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ class EmbeddingProviderConfig:
     batch_size: int = 32
     timeout: float = 30.0
     max_retries: int = 3
-    parallelism: int = 1
+    parallelism: int = 4  # batches in flight at once
     cache_dir: str | None = None
     # Wire-format knobs for the remote contract.
     model_field: str = "model"
@@ -200,23 +200,14 @@ def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndar
     return vectors
 
 
-def _provider_vectors(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarray]:
-    if cfg.kind == "deterministic-test":
-        return _test_vectors(texts)
-    batches = [texts[i : i + cfg.batch_size] for i in range(0, len(texts), cfg.batch_size)]
-    if cfg.parallelism > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(lambda b: _remote_call(b, cfg), batches))
-    else:
-        results = [_remote_call(b, cfg) for b in batches]
-    return [vec for batch in results for vec in batch]
-
-
 def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     """Embed texts in order; returns an (n, dim) float64 array of unit vectors.
 
     With cache_dir set, hits skip the provider entirely; results are
     identical either way because providers are pure functions of the text.
+    Remote misses go out in batches of batch_size, up to parallelism at
+    once; each batch's vectors are cached as soon as it returns, so a failed
+    batch costs only itself.
     """
     if not texts:
         raise ValueError("embed_batch requires at least one text")
@@ -232,12 +223,20 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     else:
         missing = list(range(len(texts)))
 
-    if missing:
-        fresh = _provider_vectors([texts[i] for i in missing], cfg)
-        for i, vec in zip(missing, fresh):
+    if cfg.kind == "deterministic-test":
+        # One call for all misses, so each distinct token is hashed once.
+        provider, batch_size = _test_vectors, max(len(missing), 1)
+    else:
+        provider, batch_size = partial(_remote_call, cfg=cfg), cfg.batch_size
+
+    def fetch(batch: list[int]) -> None:
+        for i, vec in zip(batch, provider([texts[i] for i in batch])):
             vectors[i] = normalize(vec)
             if cache is not None:
                 cache.put(cfg.model_name, texts[i], vectors[i])
+
+    batches = [missing[i : i + batch_size] for i in range(0, len(missing), batch_size)]
+    map_ordered(fetch, batches, cfg.parallelism)
 
     dims = {v.shape[0] for v in vectors}
     if len(dims) != 1:

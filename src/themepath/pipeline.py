@@ -17,7 +17,6 @@ artifact is bit-identical across runs for a fixed seed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from typing import Callable
 
@@ -30,6 +29,7 @@ from .errors import PipelineStageError
 from .markov import build_transition_matrix
 from .pathfinding import solve_dp, solve_greedy
 from .summarize import aggregate_final, summarize_cluster
+from .transport import map_ordered
 
 Progress = Callable[[str], None] | None
 
@@ -71,12 +71,9 @@ def _summarize_clusters(reps: dict[int, list[int]], chunks, cfg: RunConfig) -> d
             [chunks[i].text for i in rep_ids], cfg.llm, cluster_id=cluster_id, rep_ids=rep_ids
         )
 
-    ids = sorted(reps)
-    if cfg.llm.parallelism > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.llm.parallelism) as pool:
-            results = list(pool.map(one, ids))
-    else:
-        results = [one(c) for c in ids]
+    # The mock provider does no I/O, so threads would only take turns holding the GIL.
+    workers = cfg.llm.parallelism if cfg.llm.kind == "remote-chat" else 1
+    results = map_ordered(one, sorted(reps), workers)
     return {summary.cluster_id: summary for summary in results}
 
 

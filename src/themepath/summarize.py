@@ -40,7 +40,7 @@ class LlmProviderConfig:
     max_output_tokens: int = 1024
     timeout: float = 60.0
     max_retries: int = 3
-    parallelism: int = 1
+    parallelism: int = 8  # cluster summaries in flight at once
     # llm-full baseline: documents beyond context_limit - context_margin
     # tokens are split, summarized piecewise, and stitched once.
     context_limit: int | None = None
@@ -55,6 +55,10 @@ class LlmProviderConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
 
 
 @dataclass

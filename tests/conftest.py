@@ -24,7 +24,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             {"path": self.path, "body": body, "headers": dict(self.headers)}
         )
         script = self.server.script
-        status, payload = script[min(len(self.server.requests) - 1, len(script) - 1)]
+        if callable(script):
+            status, payload = script(body)
+        else:
+            status, payload = script[min(len(self.server.requests) - 1, len(script) - 1)]
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -41,7 +44,9 @@ def stub_server():
     """Factory: stub_server(script) -> (server, url).
 
     script is a list of (status, json_payload) pairs served in request
-    order; the last entry repeats. The server records request bodies.
+    order, the last entry repeating, or a callable that maps each decoded
+    request body to its (status, json_payload). The server records request
+    bodies.
     """
     servers = []
 

@@ -46,6 +46,8 @@ class TestConfigParsing:
         assert cfg.top_k == 5
         assert cfg.path_cap == 22
         assert cfg.llm.temperature == 0.0
+        assert cfg.embedding.parallelism == 4
+        assert cfg.llm.parallelism == 8
 
     def test_env_interpolation(self, monkeypatch):
         monkeypatch.setenv("RUNS_ROOT", "/tmp/elsewhere")
@@ -90,6 +92,29 @@ class TestConfigParsing:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("llm.parallelism = 0", "parallelism must be >= 1"),
+            ("llm.parallelism = -3", "parallelism must be >= 1"),
+            ("llm.max_retries = -1", "max_retries must be >= 0"),
+            ("embedding.parallelism = 0", "parallelism must be >= 1"),
+            ("embedding.max_retries = -1", "max_retries must be >= 0"),
+        ],
+    )
+    def test_provider_call_limits_out_of_range_rejected(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(str(path))
+
+    def test_provider_call_limits_at_their_floor_accepted(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("llm.parallelism = 1\nllm.max_retries = 0\nembedding.parallelism = 1\nembedding.max_retries = 0\n")
+        cfg = load_config(str(path))
+        assert (cfg.llm.parallelism, cfg.llm.max_retries) == (1, 0)
+        assert (cfg.embedding.parallelism, cfg.embedding.max_retries) == (1, 0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):

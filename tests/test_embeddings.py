@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from themepath.embeddings import (
     _test_vectors,
 )
 from themepath.errors import DegenerateInputError, ProtocolError, TransportError
+from themepath.transport import map_ordered
 
 
 class TestNormalize:
@@ -207,12 +210,24 @@ class TestCache:
             got = cache.get("m", "k")
             return got is None or np.array_equal(got, vec)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            assert all(pool.map(hammer, range(64)))
+        assert all(map_ordered(hammer, range(64), 8))
 
 
 def _embedding_payload(vectors):
     return {"data": [{"embedding": list(map(float, v))} for v in vectors]}
+
+
+def _vector_for(text):
+    """A direction of its own for each text, so a row in the wrong place shows."""
+    return [1.0 + b for b in hashlib.sha256(text.encode("utf-8")).digest()[:4]]
+
+
+def _expected_rows(texts):
+    return np.stack([normalize(np.array(_vector_for(t))) for t in texts])
+
+
+def _derived_reply(body):
+    return 200, _embedding_payload([_vector_for(t) for t in body["input"]])
 
 
 class TestRemoteProvider:
@@ -243,11 +258,9 @@ class TestRemoteProvider:
         assert len(server.requests) == 2
 
     def test_dimension_mismatch_across_batches(self, stub_server, no_sleep):
+        widths = {"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}
         server, url = stub_server(
-            [
-                (200, _embedding_payload([[1.0, 0.0]])),
-                (200, _embedding_payload([[1.0, 0.0, 0.0]])),
-            ]
+            lambda body: (200, _embedding_payload([widths[t] for t in body["input"]]))
         )
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, batch_size=1)
         with pytest.raises(ProtocolError):
@@ -265,13 +278,74 @@ class TestRemoteProvider:
         with pytest.raises(ProtocolError):
             embed_batch(["a", "b"], cfg)
 
-    def test_parallel_batches_preserve_input_order(self, stub_server, no_sleep):
-        # one text per batch, every response identical, four workers
-        server, url = stub_server([(200, _embedding_payload([[1.0, 2.0]]))])
-        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, batch_size=1, parallelism=4)
-        out = embed_batch(["a", "b", "c", "d", "e"], cfg)
-        assert out.shape == (5, 2)
-        assert len(server.requests) == 5
+    def test_parallel_batches_preserve_input_order(self, stub_server, no_sleep, tmp_path):
+        texts = [f"text {i}" for i in range(14)]
+        cached = texts[::3]  # hits interleaved with misses
+
+        def reply(body):
+            # Later batches answer sooner, so replies come back in reverse order.
+            time.sleep(0.004 * (len(texts) - texts.index(body["input"][0])))
+            return _derived_reply(body)
+
+        server, url = stub_server(reply)
+        for batch_size in (1, 3):
+            server.requests.clear()
+            cache_dir = tmp_path / f"batch{batch_size}"
+            cfg = EmbeddingProviderConfig(
+                kind="remote", endpoint=url, batch_size=batch_size, parallelism=4, cache_dir=str(cache_dir)
+            )
+            cache = EmbeddingCache(str(cache_dir))
+            for text in cached:
+                cache.put(cfg.model_name, text, normalize(np.array(_vector_for(text))))
+            # Switch threads often, so a row lost between workers would show.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                out = embed_batch(texts, cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(out, _expected_rows(texts))
+            batches = sorted((r["body"]["input"] for r in server.requests), key=lambda b: texts.index(b[0]))
+            misses = [t for t in texts if t not in cached]
+            assert batches == [misses[i : i + batch_size] for i in range(0, len(misses), batch_size)]
+
+    def test_completed_batches_stay_cached_when_one_fails(self, stub_server, no_sleep, tmp_path):
+        texts = [f"text {i}" for i in range(8)]
+        failing = texts[2:4]  # the second of four batches
+        answered = []
+        others_answered = threading.Event()
+        lock = threading.Lock()
+
+        def reply(body):
+            if body["input"] == failing:
+                # Fail only once the other batches are in, so none of them is
+                # cancelled before it is sent.
+                others_answered.wait(timeout=10)
+                return 400, {"error": "rejected"}
+            with lock:
+                answered.append(body["input"])
+                if len(answered) == 3:
+                    others_answered.set()
+            return _derived_reply(body)
+
+        server, url = stub_server(reply)
+        cfg = EmbeddingProviderConfig(
+            kind="remote", endpoint=url, batch_size=2, parallelism=4, cache_dir=str(tmp_path)
+        )
+        with pytest.raises(ProtocolError, match="^HTTP 400 from "):
+            embed_batch(texts, cfg)
+        cache = EmbeddingCache(str(tmp_path))
+        for text, row in zip(texts, _expected_rows(texts)):
+            got = cache.get(cfg.model_name, text)
+            if text in failing:
+                assert got is None
+            else:
+                assert np.array_equal(got, row)
+
+        healthy, healthy_url = stub_server(_derived_reply)
+        out = embed_batch(texts, dataclasses.replace(cfg, endpoint=healthy_url))
+        assert [r["body"]["input"] for r in healthy.requests] == [failing]
+        assert np.array_equal(out, _expected_rows(texts))
 
     def test_bearer_token_from_env(self, stub_server, no_sleep, monkeypatch):
         monkeypatch.setenv("EMBED_TOKEN", "sesame")

@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
@@ -199,16 +202,27 @@ class TestRunPipeline:
         probs = result.transition_matrix["probs"]
         assert all(probs[i][i] == 0.0 for i in range(len(probs)))
 
-    def test_parallel_cluster_summaries_match_serial(self):
-        document = make_topic_document(seed=6, topic_order=["beta", "gamma", "alpha"])
-        serial = run_pipeline(document, "markov-cluster", pipeline_config(seed=6))
-        parallel_cfg = pipeline_config(seed=6)
-        parallel_cfg.llm = LlmProviderConfig(parallelism=4)
-        parallel = run_pipeline(document, "markov-cluster", parallel_cfg)
-        assert [s["summary_text"] for s in serial.cluster_summaries] == [
-            s["summary_text"] for s in parallel.cluster_summaries
-        ]
-        assert serial.final_summary == parallel.final_summary
+    def test_parallel_cluster_summaries_match_serial(self, stub_server, no_sleep):
+        def reply(body):
+            # Each reply is derived from its prompt and takes 0-20 ms, so
+            # concurrent calls finish out of input order.
+            digest = hashlib.sha256(body["messages"][1]["content"].encode("utf-8")).digest()
+            time.sleep(digest[0] / 255 * 0.02)
+            return 200, _chat_payload(f"Summary {digest[:6].hex()}.")
+
+        server, url = stub_server(reply)
+        document = make_topic_document(seed=6, topic_order=["beta", "gamma", "alpha", "delta"])
+        runs = {}
+        for parallelism in (1, 4):
+            cfg = pipeline_config(seed=6, k=4)
+            cfg.llm = LlmProviderConfig(kind="remote-chat", endpoint=url, parallelism=parallelism)
+            server.requests.clear()
+            runs[parallelism] = run_pipeline(document, "markov-cluster", cfg)
+            assert len(server.requests) == 4 + 1  # one call per cluster, then the aggregate
+        serial, parallel = runs[1], runs[4]
+        assert len({s["summary_text"] for s in serial.cluster_summaries}) == 4
+        assert parallel.cluster_summaries == serial.cluster_summaries
+        assert parallel.final_summary == serial.final_summary
 
     def test_progress_callback_sees_stages(self):
         stages = []
