@@ -54,6 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode: {self.mode!r}")
+        if self.k is not None and self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
         if not 1 <= self.path_cap <= DP_HARD_CAP:

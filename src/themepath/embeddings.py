@@ -17,15 +17,16 @@ k-means downstream ranks pairs exactly like cosine similarity would.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from .artifact import write_atomic
 from .chunking import split_tokens
 from .errors import DegenerateInputError, ProtocolError
 from .transport import map_ordered, post_json
@@ -60,6 +61,8 @@ class EmbeddingProviderConfig:
             raise ValueError("remote embedding provider requires an endpoint")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism < 1:
@@ -162,16 +165,9 @@ class EmbeddingCache:
         return np.asarray(vec, dtype=np.float64)
 
     def put(self, model_name: str, text: str, vec: np.ndarray) -> None:
-        path = self._path(self.key(model_name, text))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, np.asarray(vec, dtype=np.float64), allow_pickle=False)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        buf = io.BytesIO()
+        np.save(buf, np.asarray(vec, dtype=np.float64), allow_pickle=False)
+        write_atomic(self._path(self.key(model_name, text)), buf.getvalue())
 
 
 def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarray]:

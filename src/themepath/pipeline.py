@@ -28,8 +28,7 @@ from .embeddings import embed_batch
 from .errors import PipelineStageError
 from .markov import build_transition_matrix
 from .pathfinding import solve_dp, solve_greedy
-from .summarize import aggregate_final, summarize_cluster
-from .transport import map_ordered
+from .summarize import aggregate_final, summarize_clusters, summarize_full_document
 
 Progress = Callable[[str], None] | None
 
@@ -64,19 +63,6 @@ def first_appearance_order(labels) -> list[int]:
     return seen
 
 
-def _summarize_clusters(reps: dict[int, list[int]], chunks, cfg: RunConfig) -> dict[int, object]:
-    def one(cluster_id: int):
-        rep_ids = reps[cluster_id]
-        return summarize_cluster(
-            [chunks[i].text for i in rep_ids], cfg.llm, cluster_id=cluster_id, rep_ids=rep_ids
-        )
-
-    # The mock provider does no I/O, so threads would only take turns holding the GIL.
-    workers = cfg.llm.parallelism if cfg.llm.kind == "remote-chat" else 1
-    results = map_ordered(one, sorted(reps), workers)
-    return {summary.cluster_id: summary for summary in results}
-
-
 def run_pipeline(
     document: str, mode: str, cfg: RunConfig, progress: Progress = None
 ) -> artifact_mod.RunArtifact:
@@ -92,8 +78,6 @@ def run_pipeline(
     )
 
     if mode == "llm-full":
-        from .summarize import summarize_full_document
-
         text, stitched = stages.run(
             "summarize", lambda: summarize_full_document(document, cfg.llm)
         )
@@ -106,7 +90,8 @@ def run_pipeline(
     if not chunks:
         raise PipelineStageError("chunk", ValueError("document produced no chunks"))
 
-    vectors = stages.run("embed", lambda: embed_batch([c.text for c in chunks], cfg.embedding))
+    texts = [c.text for c in chunks]
+    vectors = stages.run("embed", lambda: embed_batch(texts, cfg.embedding))
 
     def cluster_stage():
         k = min(choose_k(len(chunks), cfg.k), distinct_count(vectors))
@@ -154,7 +139,7 @@ def run_pipeline(
     else:
         summary_order = first_appearance_order(labels)
 
-    summaries = stages.run("summarize_clusters", lambda: _summarize_clusters(reps, chunks, cfg))
+    summaries = stages.run("summarize_clusters", lambda: summarize_clusters(reps, texts, cfg.llm))
     ordered = [summaries[c] for c in summary_order]
     result.cluster_summaries = [asdict(s) for s in ordered]
 

@@ -1,13 +1,18 @@
-"""LLM providers and the summary calls of the pipeline.
+"""The LLM calls of the pipeline: cluster summaries, final aggregation and
+the whole-document baseline.
 
-Two providers implement the same three semantic calls (cluster summary,
-final aggregation, whole-document summary):
+Every call goes through ``_complete(template, texts, cfg)``, where
+``template`` names the prompt template the call fills:
 
-* ``mock-extractive`` is fully deterministic and offline: the first
-  sentence of each input text, joined in order.  Golden-file tests and the
-  reproducibility guarantees rest on it.
-* ``remote-chat`` posts a chat-completion request (system + user message,
-  model, temperature) and reads choices[0].message.content.
+* ``mock-extractive`` answers offline from a table keyed by template:
+  ``cluster_summary`` joins the first sentence of each text with a space,
+  ``final_summary`` joins the texts with ``SECTION_DELIMITER``, and
+  ``document_summary`` is the first sentence of that join.  It is fully
+  deterministic; golden-file tests and the reproducibility guarantees rest
+  on it.
+* ``remote-chat`` fills the template with the texts joined by
+  ``SECTION_DELIMITER``, posts a chat-completion request (system + user
+  message, model, temperature) and reads choices[0].message.content.
 
 Prompt templates are versioned data files under ``prompts/``; the version
 tag travels in provider metadata so runs can be compared across template
@@ -19,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .chunking import count_tokens
+from .chunking import ChunkerConfig, chunk_document, count_tokens
 from .errors import ProtocolError
 from .evaluation import first_sentence
-from .transport import post_json
+from .transport import map_ordered, post_json
 
 PROMPT_VERSION = "v1"
 SECTION_DELIMITER = "\n\n"
@@ -55,10 +60,19 @@ class LlmProviderConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.context_margin < 0:
+            raise ValueError(f"context_margin must be >= 0, got {self.context_margin}")
+        if self.context_limit is not None and self.context_limit <= self.context_margin:
+            raise ValueError(
+                "context_limit must be > context_margin, "
+                f"got {self.context_limit} <= {self.context_margin}"
+            )
 
 
 @dataclass
@@ -74,92 +88,53 @@ def _load_template(name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-class MockExtractiveProvider:
-    """First-sentence extraction; pure function of its inputs."""
-
-    def __init__(self, cfg: LlmProviderConfig):
-        self.cfg = cfg
-
-    def _respond(self, inputs: list[str], text: str) -> tuple[str, dict]:
-        meta = {
-            "model": "mock-extractive",
-            "prompt_version": PROMPT_VERSION,
-            "usage": {
-                "prompt_tokens": sum(count_tokens(t) for t in inputs),
-                "completion_tokens": count_tokens(text),
-            },
-        }
-        return text, meta
-
-    def summarize_cluster(self, rep_texts: list[str]) -> tuple[str, dict]:
-        text = " ".join(first_sentence(t) for t in rep_texts)
-        return self._respond(rep_texts, text)
-
-    def aggregate(self, ordered_summaries: list[str]) -> tuple[str, dict]:
-        return self._respond(ordered_summaries, SECTION_DELIMITER.join(ordered_summaries))
-
-    def summarize_document(self, text: str) -> tuple[str, dict]:
-        return self._respond([text], first_sentence(text))
+# The mock provider's answer for each template: a pure function of the texts.
+_MOCK_ANSWERS = {
+    "cluster_summary": lambda texts: " ".join(first_sentence(t) for t in texts),
+    "final_summary": SECTION_DELIMITER.join,
+    "document_summary": lambda texts: first_sentence(SECTION_DELIMITER.join(texts)),
+}
 
 
-class RemoteChatProvider:
-    """Chat-completion HTTP contract with retry and bearer-token auth."""
-
-    def __init__(self, cfg: LlmProviderConfig):
-        self.cfg = cfg
-
-    def _complete(self, user_prompt: str) -> tuple[str, dict]:
-        cfg = self.cfg
-        payload = {
-            "model": cfg.model_name,
-            "messages": [
-                {"role": "system", "content": _SYSTEM_PROMPT},
-                {"role": "user", "content": user_prompt},
-            ],
-            "temperature": cfg.temperature,
-            "max_tokens": cfg.max_output_tokens,
-        }
-        data = post_json(
-            cfg.endpoint,
-            payload,
-            auth_token_env=cfg.auth_token_env,
-            timeout=cfg.timeout,
-            max_retries=cfg.max_retries,
-        )
-        try:
-            text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise ProtocolError("chat response missing choices[0].message.content")
-        if not isinstance(text, str) or not text.strip():
-            raise ProtocolError("chat provider returned an empty completion")
-        meta = {
-            "model": cfg.model_name,
-            "prompt_version": PROMPT_VERSION,
-            "usage": data.get("usage", {}),
-        }
-        return text, meta
-
-    def summarize_cluster(self, rep_texts: list[str]) -> tuple[str, dict]:
-        prompt = _load_template("cluster_summary").format(
-            sections=SECTION_DELIMITER.join(rep_texts)
-        )
-        return self._complete(prompt)
-
-    def aggregate(self, ordered_summaries: list[str]) -> tuple[str, dict]:
-        prompt = _load_template("final_summary").format(
-            sections=SECTION_DELIMITER.join(ordered_summaries)
-        )
-        return self._complete(prompt)
-
-    def summarize_document(self, text: str) -> tuple[str, dict]:
-        prompt = _load_template("document_summary").format(sections=text)
-        return self._complete(prompt)
-
-
-def make_provider(cfg: LlmProviderConfig):
+def _complete(template: str, texts: list[str], cfg: LlmProviderConfig) -> tuple[str, dict]:
+    """One provider call on prompt ``template`` over ``texts``; returns (text, metadata)."""
     if cfg.kind == "mock-extractive":
-        return MockExtractiveProvider(cfg)
-    return RemoteChatProvider(cfg)
+        text = _MOCK_ANSWERS[template](texts)
+        usage = {
+            "prompt_tokens": sum(count_tokens(t) for t in texts),
+            "completion_tokens": count_tokens(text),
+        }
+        return text, {"model": "mock-extractive", "prompt_version": PROMPT_VERSION, "usage": usage}
+
+    prompt = _load_template(template).format(sections=SECTION_DELIMITER.join(texts))
+    payload = {
+        "model": cfg.model_name,
+        "messages": [
+            {"role": "system", "content": _SYSTEM_PROMPT},
+            {"role": "user", "content": prompt},
+        ],
+        "temperature": cfg.temperature,
+        "max_tokens": cfg.max_output_tokens,
+    }
+    data = post_json(
+        cfg.endpoint,
+        payload,
+        auth_token_env=cfg.auth_token_env,
+        timeout=cfg.timeout,
+        max_retries=cfg.max_retries,
+    )
+    try:
+        text = data["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        raise ProtocolError("chat response missing choices[0].message.content")
+    if not isinstance(text, str) or not text.strip():
+        raise ProtocolError("chat provider returned an empty completion")
+    meta = {
+        "model": cfg.model_name,
+        "prompt_version": PROMPT_VERSION,
+        "usage": data.get("usage", {}),
+    }
+    return text, meta
 
 
 def summarize_cluster(
@@ -168,7 +143,7 @@ def summarize_cluster(
     """One summary for one cluster's representative chunk texts."""
     if not rep_texts:
         raise ValueError("summarize_cluster requires at least one representative text")
-    text, meta = make_provider(cfg).summarize_cluster(rep_texts)
+    text, meta = _complete("cluster_summary", rep_texts, cfg)
     return ClusterSummary(
         cluster_id=cluster_id,
         representative_chunk_ids=rep_ids if rep_ids is not None else list(range(len(rep_texts))),
@@ -177,11 +152,27 @@ def summarize_cluster(
     )
 
 
+def summarize_clusters(
+    reps: dict[int, list[int]], texts: list[str], cfg: LlmProviderConfig
+) -> dict[int, ClusterSummary]:
+    """Summarize every cluster from its representatives' texts; keyed by cluster id."""
+
+    def one(cluster_id: int) -> ClusterSummary:
+        rep_ids = reps[cluster_id]
+        return summarize_cluster(
+            [texts[i] for i in rep_ids], cfg, cluster_id=cluster_id, rep_ids=rep_ids
+        )
+
+    # The mock provider does no I/O, so threads would only take turns holding the GIL.
+    workers = cfg.parallelism if cfg.kind == "remote-chat" else 1
+    return {summary.cluster_id: summary for summary in map_ordered(one, sorted(reps), workers)}
+
+
 def aggregate_final(ordered_summaries: list[ClusterSummary], cfg: LlmProviderConfig) -> str:
     """Fuse cluster summaries, in the given order, into the final text."""
     if not ordered_summaries:
         raise ValueError("aggregate_final requires at least one summary")
-    text, _ = make_provider(cfg).aggregate([s.summary_text for s in ordered_summaries])
+    text, _ = _complete("final_summary", [s.summary_text for s in ordered_summaries], cfg)
     return text
 
 
@@ -192,15 +183,10 @@ def summarize_full_document(document: str, cfg: LlmProviderConfig) -> tuple[str,
     split into token windows, each window is summarized, and the joined
     piece summaries are summarized once more (a single recursion level).
     """
-    provider = make_provider(cfg)
     if cfg.context_limit is not None:
-        budget = max(1, cfg.context_limit - cfg.context_margin)
+        budget = cfg.context_limit - cfg.context_margin
         if count_tokens(document) > budget:
-            from .chunking import ChunkerConfig, chunk_document
-
             pieces = chunk_document(document, ChunkerConfig(chunk_size=budget, overlap=0))
-            piece_summaries = [provider.summarize_document(p.text)[0] for p in pieces]
-            text, _ = provider.summarize_document(SECTION_DELIMITER.join(piece_summaries))
-            return text, True
-    text, _ = provider.summarize_document(document)
-    return text, False
+            piece_summaries = [_complete("document_summary", [p.text], cfg)[0] for p in pieces]
+            return _complete("document_summary", piece_summaries, cfg)[0], True
+    return _complete("document_summary", [document], cfg)[0], False

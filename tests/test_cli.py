@@ -140,6 +140,15 @@ class TestSummarizeCommand:
         assert "error: remote embedding provider requires an endpoint" in result.output
         assert "[stage]" not in result.output
 
+    def test_k_below_one_exits_2_before_any_stage(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Some document. With sentences.")
+        args = ["summarize", str(doc), "--provider", "mock", "--k", "0"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "error: k must be >= 1, got 0" in result.output
+        assert "[stage]" not in result.output
+
 
 def fixture_artifact(tmp_path) -> str:
     """Artifact built around the k=3 pathfinding fixture and markov example."""
@@ -178,7 +187,8 @@ class TestInspectCommand:
         art = fixture_artifact(tmp_path)
         # overwrite matrix with the hand-counted example for S=[0,0,1,2,1]
         m = build_transition_matrix([0, 0, 1, 2, 1], 3)
-        data = json.loads(open(art).read())
+        with open(art) as fh:
+            data = json.load(fh)
         data["transition_matrix"] = matrix_to_dict(m.probs, 3, m.zero_rows)
         with open(art, "w") as fh:
             json.dump(data, fh)

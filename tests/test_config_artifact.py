@@ -101,6 +101,18 @@ class TestConfigParsing:
             ("llm.max_retries = -1", "max_retries must be >= 0"),
             ("embedding.parallelism = 0", "parallelism must be >= 1"),
             ("embedding.max_retries = -1", "max_retries must be >= 0"),
+            ("k = 0", "k must be >= 1, got 0"),
+            ("k = -2", "k must be >= 1, got -2"),
+            ("embedding.timeout = 0", "timeout must be > 0, got 0.0"),
+            ("llm.timeout = 0", "timeout must be > 0, got 0.0"),
+            ("llm.timeout = -1", "timeout must be > 0, got -1.0"),
+            ("llm.timeout = nan", "timeout must be > 0, got nan"),
+            ("llm.context_margin = -5", "context_margin must be >= 0, got -5"),
+            ("llm.context_limit = 1000", "context_limit must be > context_margin, got 1000 <= 1024"),
+            (
+                "llm.context_limit = 8\nllm.context_margin = 8",
+                "context_limit must be > context_margin, got 8 <= 8",
+            ),
         ],
     )
     def test_provider_call_limits_out_of_range_rejected(self, tmp_path, line, message):
@@ -111,10 +123,15 @@ class TestConfigParsing:
 
     def test_provider_call_limits_at_their_floor_accepted(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("llm.parallelism = 1\nllm.max_retries = 0\nembedding.parallelism = 1\nembedding.max_retries = 0\n")
+        path.write_text(
+            "llm.parallelism = 1\nllm.max_retries = 0\nembedding.parallelism = 1\nembedding.max_retries = 0\n"
+            "llm.timeout = 0.001\nembedding.timeout = 0.001\nllm.context_margin = 0\nllm.context_limit = 1\n"
+        )
         cfg = load_config(str(path))
         assert (cfg.llm.parallelism, cfg.llm.max_retries) == (1, 0)
         assert (cfg.embedding.parallelism, cfg.embedding.max_retries) == (1, 0)
+        assert (cfg.llm.timeout, cfg.embedding.timeout) == (0.001, 0.001)
+        assert (cfg.llm.context_margin, cfg.llm.context_limit) == (0, 1)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -260,9 +277,11 @@ class TestArtifact:
     def test_round_trip_is_byte_identical(self, tmp_path):
         path = str(tmp_path / "artifact.json")
         save_artifact(sample_artifact(), path)
-        first = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            first = fh.read()
         save_artifact(load_artifact(path), path)
-        assert open(path, "rb").read() == first
+        with open(path, "rb") as fh:
+            assert fh.read() == first
 
     def test_neg_inf_log_prob_round_trips(self, tmp_path):
         art = sample_artifact()

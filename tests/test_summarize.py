@@ -5,13 +5,14 @@ import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
 from themepath.artifact import decode_log_prob, to_canonical_json
-from themepath.chunking import ChunkerConfig
+from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.config import RunConfig
 from themepath.errors import PipelineStageError, ProtocolError
 from themepath.pipeline import first_appearance_order, run_pipeline
 from themepath.summarize import (
     LlmProviderConfig,
     SECTION_DELIMITER,
+    _load_template,
     aggregate_final,
     summarize_cluster,
     summarize_full_document,
@@ -125,6 +126,35 @@ class TestFullDocumentBaseline:
         text, stitched = summarize_full_document(doc, cfg)
         assert stitched is True
         assert text.startswith("Sentence number 0 ends.")
+
+    def test_remote_sends_document_in_one_request(self, stub_server, no_sleep):
+        server, url = stub_server([(200, _chat_payload("Whole-book summary."))])
+        doc = "First thing. Second thing."
+        cfg = LlmProviderConfig(kind="remote-chat", endpoint=url)
+        assert summarize_full_document(doc, cfg) == ("Whole-book summary.", False)
+        assert [r["body"]["messages"][1]["content"] for r in server.requests] == [
+            _load_template("document_summary").format(sections=doc)
+        ]
+
+    def test_remote_stitching_summarizes_pieces_then_their_replies(self, stub_server, no_sleep):
+        def answer(prompt):
+            return f"Reply {hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:8]}."
+
+        server, url = stub_server(
+            lambda body: (200, _chat_payload(answer(body["messages"][1]["content"])))
+        )
+        doc = " ".join(f"Sentence number {i} ends." for i in range(40))
+        cfg = LlmProviderConfig(kind="remote-chat", endpoint=url, context_limit=60, context_margin=10)
+        text, stitched = summarize_full_document(doc, cfg)
+
+        pieces = chunk_document(doc, ChunkerConfig(chunk_size=50, overlap=0))
+        assert len(pieces) > 1
+        template = _load_template("document_summary")
+        prompts = [r["body"]["messages"][1]["content"] for r in server.requests]
+        assert prompts[:-1] == [template.format(sections=p.text) for p in pieces]
+        piece_replies = [answer(p) for p in prompts[:-1]]
+        assert prompts[-1] == template.format(sections=SECTION_DELIMITER.join(piece_replies))
+        assert (text, stitched) == (answer(prompts[-1]), True)
 
 
 class TestRunPipeline:
