@@ -46,37 +46,19 @@ def main() -> None:
     """Long-document summarization via thematic clustering and Markov path ordering."""
 
 
-def _load_run_config(config_path: str | None) -> RunConfig:
-    if config_path is None:
-        return RunConfig()
+# ``--provider`` names a pair of provider kinds.
+_PROVIDER_KINDS = {
+    "remote": {"embedding.kind": "remote", "llm.kind": "remote-chat"},
+    "mock": {"embedding.kind": "deterministic-test", "llm.kind": "mock-extractive"},
+}
+
+
+def _load_run_config(config_path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
+    """The config file's keys with ``overrides`` laid over them; exits 2 on a bad value."""
     try:
-        return load_config(config_path)
+        return load_config(config_path, overrides)
     except ConfigError as exc:
         _fail(USAGE_ERROR, str(exc))
-
-
-def _apply_overrides(cfg: RunConfig, mode, k, seed, out_dir, provider) -> RunConfig:
-    if mode is not None:
-        cfg.mode = mode
-    if k is not None:
-        cfg.k = k
-    if seed is not None:
-        cfg.seed = seed
-    if out_dir is not None:
-        cfg.out_dir = out_dir
-    if provider == "mock":
-        cfg.embedding.kind = "deterministic-test"
-        cfg.llm.kind = "mock-extractive"
-    elif provider == "remote":
-        cfg.embedding.kind = "remote"
-        cfg.llm.kind = "remote-chat"
-    try:
-        cfg.embedding.__post_init__()
-        cfg.llm.__post_init__()
-        cfg.__post_init__()
-    except (ConfigError, ValueError) as exc:
-        _fail(USAGE_ERROR, str(exc))
-    return cfg
 
 
 @main.command("summarize")
@@ -86,10 +68,17 @@ def _apply_overrides(cfg: RunConfig, mode, k, seed, out_dir, provider) -> RunCon
 @click.option("--k", type=int, default=None, help="Explicit cluster count.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out-dir", default=None, help="Run directory for artifact and summary.")
-@click.option("--provider", type=click.Choice(["remote", "mock"]), default=None)
+@click.option("--provider", type=click.Choice(list(_PROVIDER_KINDS)), default=None)
 def cmd_summarize(input_path, config_path, mode, k, seed, out_dir, provider):
-    """Summarize a UTF-8 text document and write the run artifact."""
-    cfg = _apply_overrides(_load_run_config(config_path), mode, k, seed, out_dir, provider)
+    """Summarize a UTF-8 text document and write the run artifact.
+
+    Each option given is the config key of the same name, laid over the
+    config file's keys; ``--provider`` sets ``embedding.kind`` and ``llm.kind``.
+    """
+    flags = {"mode": mode, "k": k, "seed": seed, "out_dir": out_dir}
+    overrides = {key: str(value) for key, value in flags.items() if value is not None}
+    overrides.update(_PROVIDER_KINDS.get(provider, {}))
+    cfg = _load_run_config(config_path, overrides)
     if not os.path.isfile(input_path):
         _fail(USAGE_ERROR, f"input file not found: {input_path}")
     try:
@@ -237,21 +226,16 @@ def cmd_inspect(artifact_path, what):
 
 
 @main.command("bench")
-@click.option("--max-k", type=int, default=20, show_default=True)
-@click.option("--trials", type=int, default=5, show_default=True)
+@click.option(
+    "--max-k", type=click.IntRange(2, pathfinding.DP_HARD_CAP), default=20, show_default=True
+)
+@click.option("--trials", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "out_path", default=None, help="CSV output path (default: stdout).")
 @click.option(
     "--compare", is_flag=True, default=False, help="Time every available DP backend, not just the default."
 )
 def cmd_bench(max_k, trials, out_path, compare):
     """Median DP solve time per k on random row-stochastic matrices."""
-    if max_k > pathfinding.DP_HARD_CAP:
-        _fail(USAGE_ERROR, f"--max-k must be <= {pathfinding.DP_HARD_CAP}")
-    if max_k < 2:
-        _fail(USAGE_ERROR, "--max-k must be >= 2")
-    if trials < 1:
-        _fail(USAGE_ERROR, "--trials must be >= 1")
-
     backends = pathfinding.available_backends() if compare else [pathfinding.default_backend()]
     rows = bench_rows(max_k, trials, backends)
     buf = io.StringIO()

@@ -24,9 +24,6 @@ import numpy as np
 from .errors import InfeasibleError
 from .pathfinding import DP_HARD_CAP
 
-# choose_k never picks more clusters than the exact path solver accepts.
-K_HARD_CAP = DP_HARD_CAP
-
 
 @dataclass
 class ClusterAssignment:
@@ -227,7 +224,7 @@ def representatives(
 
 
 def choose_k(num_chunks: int, k_override: int | None = None) -> int:
-    """Pick the cluster count: an explicit override, else sqrt(n/2) clamped to [2, K_HARD_CAP].
+    """Pick the cluster count: an explicit override, else sqrt(n/2) clamped to [2, DP_HARD_CAP].
 
     The upper clamp keeps exact pathfinding feasible by default; the result
     never exceeds the number of chunks.
@@ -239,4 +236,4 @@ def choose_k(num_chunks: int, k_override: int | None = None) -> int:
             raise ValueError(f"k must be >= 1, got {k_override}")
         return min(k_override, num_chunks)
     k = int(round(math.sqrt(num_chunks / 2)))
-    return min(max(2, min(k, K_HARD_CAP)), num_chunks)
+    return min(max(2, min(k, DP_HARD_CAP)), num_chunks)

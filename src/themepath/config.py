@@ -192,10 +192,13 @@ def config_from_mapping(values: dict[str, str]) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_mapping(parse_config_text(text))
+def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> RunConfig:
+    """The config file at ``path`` (None: all defaults), ``overrides`` laid over its keys."""
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return config_from_mapping({**parse_config_text(text), **(overrides or {})})

@@ -5,16 +5,19 @@ maximize the product of transition probabilities along the way, free
 choice of start and end node.
 
 * ``solve_dp``: exact bitmask dynamic programming (Held-Karp), O(k^2 * 2^k)
-  time, feasible up to k = DP_HARD_CAP = 22.  Its kernel fills the subsets
-  in cardinality order, keeps the values of only two adjacent
+  time.  DP_HARD_CAP = 22 is the one cap on it: ``solve_dp`` refuses a
+  larger k before it allocates anything, and the config's ``path_cap``
+  and ``choose_k``'s default clamp never exceed it.  Its kernel fills the
+  subsets in cardinality order, keeps the values of only two adjacent
   cardinalities, and records one int8 successor per (subset, node) cell
   for the walk.  Space: the 2^k * k byte successor table plus the two
   layers, about 21 + 30 MB at k = 20 and 92 + 124 MB at k = 22 with the
   compiled kernel (a full 2^k x k float64 table would take 168 MB and
   738 MB).  The kernel is the plain-C extension ``_pathcore`` when it is
-  built, else a bit-identical numpy fallback; both refuse k > DP_HARD_CAP.
+  built, else a bit-identical numpy fallback.
 * ``solve_greedy``: best-of-k-starts nearest-successor heuristic for k
-  beyond the DP cap.
+  beyond the DP cap.  The pipeline alone picks between the two, by
+  comparing k with ``path_cap``.
 
 All work happens in log space; a zero-probability edge contributes -inf,
 so paths through missing transitions stay representable and always rank
@@ -86,9 +89,7 @@ def path_probability(matrix: TransitionMatrix, order: list[int]) -> float:
     return total
 
 
-def solve_dp(
-    matrix: TransitionMatrix, cap: int = DP_HARD_CAP, backend: str | None = None
-) -> HamiltonianPath:
+def solve_dp(matrix: TransitionMatrix, backend: str | None = None) -> HamiltonianPath:
     """Exact solution via the subset DP, reconstructed front to back.
 
     The kernel fills the start-at recurrence g[S, i] (best log-prob over
@@ -100,11 +101,9 @@ def solve_dp(
     k = matrix.k
     if k < 1:
         raise ValueError("matrix must have at least one state")
-    if cap > DP_HARD_CAP:
-        raise ValueError(f"cap={cap} exceeds DP_HARD_CAP={DP_HARD_CAP}")
-    if k > cap:
+    if k > DP_HARD_CAP:
         raise InfeasibleError(
-            f"k={k} exceeds the DP cap {cap}; use solve_greedy or fewer clusters"
+            f"k={k} exceeds the DP cap {DP_HARD_CAP}; use solve_greedy or fewer clusters"
         )
     fill = _kernel(backend)
     logw = np.ascontiguousarray(_log_weights(matrix).T, dtype=np.float64)

@@ -73,9 +73,9 @@ def run_pipeline(
         raise ValueError(f"unknown mode: {mode!r}")
 
     stages = _Stages(progress)
-    result = artifact_mod.RunArtifact(
-        mode=mode, seed=cfg.seed, config=cfg.snapshot(), final_summary=""
-    )
+    # The config snapshot records the mode that ran, also when it is not cfg.mode.
+    config = cfg.snapshot() if mode == cfg.mode else {**cfg.snapshot(), "mode": mode}
+    result = artifact_mod.RunArtifact(mode=mode, seed=cfg.seed, config=config, final_summary="")
 
     if mode == "llm-full":
         text, stitched = stages.run(
@@ -126,7 +126,7 @@ def run_pipeline(
 
         def path_stage():
             if matrix.k <= cfg.path_cap:
-                return solve_dp(matrix, cap=cfg.path_cap)
+                return solve_dp(matrix)
             return solve_greedy(matrix)
 
         path = stages.run("path", path_stage)

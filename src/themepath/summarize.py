@@ -45,7 +45,7 @@ class LlmProviderConfig:
     max_output_tokens: int = 1024
     timeout: float = 60.0
     max_retries: int = 3
-    parallelism: int = 8  # cluster summaries in flight at once
+    parallelism: int = 8  # cluster summaries or llm-full pieces in flight at once
     # llm-full baseline: documents beyond context_limit - context_margin
     # tokens are split, summarized piecewise, and stitched once.
     context_limit: int | None = None
@@ -137,6 +137,12 @@ def _complete(template: str, texts: list[str], cfg: LlmProviderConfig) -> tuple[
     return text, meta
 
 
+def _map_calls(fn, items: list, cfg: LlmProviderConfig) -> list:
+    """``[fn(x) for x in items]`` for independent provider calls, run through ``map_ordered``."""
+    # The mock provider does no I/O, so threads would only take turns holding the GIL.
+    return map_ordered(fn, items, cfg.parallelism if cfg.kind == "remote-chat" else 1)
+
+
 def summarize_cluster(
     rep_texts: list[str], cfg: LlmProviderConfig, cluster_id: int = 0, rep_ids: list[int] | None = None
 ) -> ClusterSummary:
@@ -163,9 +169,7 @@ def summarize_clusters(
             [texts[i] for i in rep_ids], cfg, cluster_id=cluster_id, rep_ids=rep_ids
         )
 
-    # The mock provider does no I/O, so threads would only take turns holding the GIL.
-    workers = cfg.parallelism if cfg.kind == "remote-chat" else 1
-    return {summary.cluster_id: summary for summary in map_ordered(one, sorted(reps), workers)}
+    return {summary.cluster_id: summary for summary in _map_calls(one, sorted(reps), cfg)}
 
 
 def aggregate_final(ordered_summaries: list[ClusterSummary], cfg: LlmProviderConfig) -> str:
@@ -180,13 +184,16 @@ def summarize_full_document(document: str, cfg: LlmProviderConfig) -> tuple[str,
     """Whole-document baseline; returns (summary, stitched_flag).
 
     When the document exceeds context_limit - context_margin tokens it is
-    split into token windows, each window is summarized, and the joined
-    piece summaries are summarized once more (a single recursion level).
+    split into token windows, each window is summarized (concurrently, as
+    cluster summaries are), and the piece summaries, joined in piece order,
+    are summarized once more (a single recursion level).
     """
     if cfg.context_limit is not None:
         budget = cfg.context_limit - cfg.context_margin
         if count_tokens(document) > budget:
             pieces = chunk_document(document, ChunkerConfig(chunk_size=budget, overlap=0))
-            piece_summaries = [_complete("document_summary", [p.text], cfg)[0] for p in pieces]
+            piece_summaries = _map_calls(
+                lambda piece: _complete("document_summary", [piece.text], cfg)[0], pieces, cfg
+            )
             return _complete("document_summary", piece_summaries, cfg)[0], True
     return _complete("document_summary", [document], cfg)[0], False

@@ -5,6 +5,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from conftest import make_topic_document, tokens_per_chunk
@@ -26,29 +27,18 @@ def write_config(path, chunk_size=None, overlap=None, extra=()):
         fh.write("\n".join(lines) + "\n")
 
 
-def run_summarize(tmp_path, runner, out_name, mode="markov-cluster", seed=0):
+def run_summarize(tmp_path, runner, out_name, mode="markov-cluster", seed=0, config=None, extra=()):
+    """``summarize`` on a three-topic document; ``config`` defaults to a mock k = 3 file."""
     document = make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"])
     doc_path = tmp_path / "doc.txt"
     doc_path.write_text(document)
-    cfg_path = tmp_path / "run.cfg"
-    write_config(cfg_path, chunk_size=tokens_per_chunk(), overlap=0, extra=["k = 3"])
+    if config is None:
+        config = tmp_path / "run.cfg"
+        write_config(config, chunk_size=tokens_per_chunk(), overlap=0, extra=["k = 3"])
     out_dir = tmp_path / out_name
-    result = runner.invoke(
-        main,
-        [
-            "summarize",
-            str(doc_path),
-            "--config",
-            str(cfg_path),
-            "--mode",
-            mode,
-            "--seed",
-            str(seed),
-            "--out-dir",
-            str(out_dir),
-        ],
-    )
-    return result, out_dir
+    args = ["summarize", str(doc_path), "--config", str(config), "--mode", mode, "--seed", str(seed)]
+    args += ["--out-dir", str(out_dir), *extra]
+    return runner.invoke(main, args), out_dir
 
 
 class TestSummarizeCommand:
@@ -148,6 +138,32 @@ class TestSummarizeCommand:
         assert result.exit_code == 2
         assert "error: k must be >= 1, got 0" in result.output
         assert "[stage]" not in result.output
+
+    def test_flag_replaces_the_file_value_before_validation(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, chunk_size=tokens_per_chunk(), overlap=0, extra=["k = 0"])
+        result, out_dir = run_summarize(tmp_path, CliRunner(), "out", config=cfg_path, extra=["--k", "5"])
+        assert result.exit_code == 0, result.output
+        artifact = json.loads((out_dir / "artifact.json").read_text())
+        assert artifact["config"]["k"] == 5
+
+    def test_provider_mock_over_a_remote_config_without_endpoints_runs(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("embedding.kind = remote\nllm.kind = remote-chat\n")
+        extra = ["--provider", "mock"]
+        result, out_dir = run_summarize(tmp_path, CliRunner(), "out", config=cfg_path, extra=extra)
+        assert result.exit_code == 0, result.output
+        config = json.loads((out_dir / "artifact.json").read_text())["config"]
+        kinds = (config["embedding"]["kind"], config["llm"]["kind"])
+        assert kinds == ("deterministic-test", "mock-extractive")
+
+    def test_flag_equal_to_a_spliced_value_is_recorded_as_given(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RUN_DIR", str(tmp_path / "out"))
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, extra=["k = 3", "out_dir = ${RUN_DIR}"])
+        result, out_dir = run_summarize(tmp_path, CliRunner(), "out", config=cfg_path)
+        assert result.exit_code == 0, result.output
+        assert json.loads((out_dir / "artifact.json").read_text())["config"]["out_dir"] == str(out_dir)
 
 
 def fixture_artifact(tmp_path) -> str:
@@ -263,6 +279,14 @@ class TestBenchCommand:
     def test_max_k_beyond_cap_exits_2(self):
         runner = CliRunner()
         assert runner.invoke(main, ["bench", "--max-k", "23"]).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args, name", [(["--max-k", "1"], "--max-k"), (["--trials", "0"], "--trials")]
+    )
+    def test_limits_below_their_floor_exit_2(self, args, name):
+        result = CliRunner().invoke(main, ["bench", *args])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{name}'" in result.output
 
     def test_out_file_written(self, tmp_path):
         out = tmp_path / "bench.csv"

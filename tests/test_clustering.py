@@ -8,7 +8,6 @@ from conftest import make_topic_document, tokens_per_chunk
 from themepath import clustering, pipeline
 from themepath.chunking import ChunkerConfig
 from themepath.clustering import (
-    K_HARD_CAP,
     _squared_distances,
     _squared_norms,
     choose_k,
@@ -298,7 +297,8 @@ class TestChooseK:
         assert choose_k(4, k_override=9) == 4
 
     def test_upper_clamp(self):
-        assert choose_k(100000) == K_HARD_CAP
+        assert choose_k(100000) == DP_HARD_CAP
 
     def test_cap_is_the_exact_solver_cap(self):
-        assert K_HARD_CAP == DP_HARD_CAP == 22
+        # sqrt(n/2) reaches 22 at n = 968 and 23 at n = 1058: only the first is kept.
+        assert choose_k(2 * 22**2) == choose_k(2 * 23**2) == DP_HARD_CAP == 22

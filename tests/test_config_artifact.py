@@ -141,6 +141,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "none.cfg"))
 
+    def test_overrides_lay_over_the_file_before_validation(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("k = 0\nseed = 4\n")
+        cfg = load_config(str(path), {"k": "5"})
+        assert (cfg.k, cfg.seed) == (5, 4)
+        assert load_config() == RunConfig()
+        assert load_config(None, {"seed": "9"}).seed == 9
+
     def test_snapshot_has_no_secret_values(self, monkeypatch):
         monkeypatch.setenv("SECRET_TOKEN", "do-not-leak")
         cfg = config_from_mapping({"llm.auth_token_env": "SECRET_TOKEN"})

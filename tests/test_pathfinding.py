@@ -88,24 +88,26 @@ class TestSolveDp:
         assert path.log_prob == -math.inf
 
     def test_cap_exceeded_points_to_greedy(self):
-        matrix = random_matrix(6, seed=0)
+        matrix = random_matrix(DP_HARD_CAP + 1, seed=0)
         with pytest.raises(InfeasibleError, match="greedy"):
-            solve_dp(matrix, cap=5)
+            solve_dp(matrix)
+        path = solve_greedy(matrix)
+        assert sorted(path.order) == list(range(DP_HARD_CAP + 1))
 
     def test_k_beyond_hard_cap_is_refused(self):
         matrix = random_matrix(23, seed=0)
-        with pytest.raises(
-            InfeasibleError, match=r"^k=23 exceeds the DP cap 22; use solve_greedy or fewer clusters$"
-        ):
-            solve_dp(matrix)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"^cap=23 exceeds DP_HARD_CAP=22$"):
-                solve_dp(matrix, cap=23)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000  # raised before any table was allocated
+        for backend in pathfinding.available_backends():
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    InfeasibleError,
+                    match=r"^k=23 exceeds the DP cap 22; use solve_greedy or fewer clusters$",
+                ):
+                    solve_dp(matrix, backend=backend)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000, backend  # raised before any table was allocated
 
     def test_zero_row_from_terminal_cluster_is_handled(self):
         matrix = build_transition_matrix([0, 0, 1, 2], 3)

@@ -1,6 +1,7 @@
 import hashlib
 import time
 
+import numpy as np
 import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
@@ -8,6 +9,8 @@ from themepath.artifact import decode_log_prob, to_canonical_json
 from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.config import RunConfig
 from themepath.errors import PipelineStageError, ProtocolError
+from themepath.markov import TransitionMatrix
+from themepath.pathfinding import solve_greedy
 from themepath.pipeline import first_appearance_order, run_pipeline
 from themepath.summarize import (
     LlmProviderConfig,
@@ -140,21 +143,36 @@ class TestFullDocumentBaseline:
         def answer(prompt):
             return f"Reply {hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:8]}."
 
-        server, url = stub_server(
-            lambda body: (200, _chat_payload(answer(body["messages"][1]["content"])))
-        )
+        spans = []
+
+        def reply(body):
+            started = time.perf_counter()
+            time.sleep(0.05)
+            spans.append((started, time.perf_counter()))
+            return 200, _chat_payload(answer(body["messages"][1]["content"]))
+
+        server, url = stub_server(reply)
         doc = " ".join(f"Sentence number {i} ends." for i in range(40))
-        cfg = LlmProviderConfig(kind="remote-chat", endpoint=url, context_limit=60, context_margin=10)
+        cfg = LlmProviderConfig(
+            kind="remote-chat", endpoint=url, context_limit=60, context_margin=10, parallelism=4
+        )
         text, stitched = summarize_full_document(doc, cfg)
 
         pieces = chunk_document(doc, ChunkerConfig(chunk_size=50, overlap=0))
         assert len(pieces) > 1
         template = _load_template("document_summary")
+        piece_prompts = [template.format(sections=p.text) for p in pieces]
         prompts = [r["body"]["messages"][1]["content"] for r in server.requests]
-        assert prompts[:-1] == [template.format(sections=p.text) for p in pieces]
-        piece_replies = [answer(p) for p in prompts[:-1]]
+        assert sorted(prompts[:-1]) == sorted(piece_prompts)  # sent in any order
+        piece_replies = [answer(p) for p in piece_prompts]
         assert prompts[-1] == template.format(sections=SECTION_DELIMITER.join(piece_replies))
         assert (text, stitched) == (answer(prompts[-1]), True)
+        piece_spans = spans[:-1]
+        assert any(
+            a_start < b_end and b_start < a_end
+            for i, (a_start, a_end) in enumerate(piece_spans)
+            for b_start, b_end in piece_spans[i + 1 :]
+        ), "no two piece requests were in flight at once"
 
 
 class TestRunPipeline:
@@ -253,6 +271,25 @@ class TestRunPipeline:
         assert len({s["summary_text"] for s in serial.cluster_summaries}) == 4
         assert parallel.cluster_summaries == serial.cluster_summaries
         assert parallel.final_summary == serial.final_summary
+
+    def test_path_cap_below_k_takes_the_greedy_branch(self):
+        document = make_topic_document(seed=6, topic_order=["beta", "gamma", "alpha", "delta"])
+        runs = {}
+        for path_cap in (3, 4):
+            cfg = pipeline_config(seed=6, k=4)
+            cfg.path_cap = path_cap
+            runs[path_cap] = run_pipeline(document, "markov-cluster", cfg)
+        greedy, exact = runs[3], runs[4]
+        assert (greedy.path["method"], exact.path["method"]) == ("greedy", "dp")
+        data = greedy.transition_matrix
+        matrix = TransitionMatrix(np.array(data["probs"]), data["k"], frozenset(data["zero_rows"]))
+        assert greedy.path["order"] == solve_greedy(matrix).order
+
+    @pytest.mark.parametrize("mode", ["cluster-sum", "llm-full"])
+    def test_artifact_config_records_the_mode_that_ran(self, mode):
+        document = make_topic_document(seed=2, topic_order=["beta", "alpha", "gamma"])
+        result = run_pipeline(document, mode, pipeline_config(seed=2))
+        assert result.mode == result.config["mode"] == mode
 
     def test_progress_callback_sees_stages(self):
         stages = []
