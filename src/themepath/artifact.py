@@ -95,16 +95,14 @@ def to_canonical_json(data: dict) -> str:
     ) + "\n"
 
 
-def write_atomic(path: str, data: str | bytes) -> None:
-    """Write ``data`` (``str`` as UTF-8) via a temp file in the same directory plus rename."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 via a temp file in the same directory plus rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -8,25 +8,32 @@ Two providers share one contract ("texts in, one vector per text out"):
   offline.
 * ``remote`` speaks a generic "model + inputs -> vectors" HTTP POST
   contract with retry and exponential backoff; field names are
-  configurable so it can front any such API.
+  configurable so it can front any such API.  Each reply is decoded into
+  one (n, dim) float64 array; anything else is a ProtocolError.
 
 All vectors are L2-normalized before they leave this module, so Euclidean
 k-means downstream ranks pairs exactly like cosine similarity would.
+
+The cache is one sqlite3 file, ``embeddings.sqlite3`` in ``cache_dir``,
+with one row per (model, text) holding the vector's float64 bytes.  An
+``embed_batch`` call opens it once, writes each fetched batch in one
+transaction from the worker that fetched it, and closes it on the way out.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import io
 import logging
 import os
+import threading
+import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .artifact import write_atomic
 from .chunking import split_tokens
 from .errors import DegenerateInputError, ProtocolError
 from .transport import map_ordered, post_json
@@ -132,15 +139,45 @@ def _test_vector(text: str) -> np.ndarray:
 
 
 class EmbeddingCache:
-    """One file per (model, text) key; atomic writes, corrupt entries = miss.
+    """One sqlite3 database, ``embeddings.sqlite3``, inside ``root``.
 
-    Values are deterministic per key, so concurrent last-write-wins races
-    are benign.
+    A row maps ``key(model, text)`` to the vector's little-endian float64
+    bytes.  A row that does not decode is a miss.  A store that is not a
+    database is warned about once and left as it is; the cache then reads
+    and writes nothing.  One connection serves every thread, under a lock;
+    close it with ``close()`` or a ``with`` block.  Values are deterministic
+    per key, so concurrent last-write-wins races are benign.
     """
 
+    FILENAME = "embeddings.sqlite3"
+
     def __init__(self, root: str):
-        self.root = root
+        # Imported on first use, like requests in transport: offline runs and
+        # the CLI's start-up never pay for it.
+        import sqlite3
+
         os.makedirs(root, exist_ok=True)
+        self.path = os.path.join(root, self.FILENAME)
+        self._lock = threading.Lock()
+        self._db = sqlite3.connect(self.path, check_same_thread=False)
+        # Runs once: on close(), or when a cache nobody closed is collected.
+        self._close = weakref.finalize(self, self._db.close)
+        try:
+            self._db.execute("CREATE TABLE IF NOT EXISTS vectors (key TEXT PRIMARY KEY, value BLOB NOT NULL)")
+        except sqlite3.DatabaseError as exc:
+            log.warning("embedding cache %s is unusable, running uncached: %s", self.path, exc)
+            self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._db = None
+            self._close()
+
+    def __enter__(self) -> "EmbeddingCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @staticmethod
     def key(model_name: str, text: str) -> str:
@@ -150,27 +187,33 @@ class EmbeddingCache:
         h.update(text.encode("utf-8"))
         return h.hexdigest()
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.npy")
-
     def get(self, model_name: str, text: str) -> np.ndarray | None:
-        path = self._path(self.key(model_name, text))
-        if not os.path.exists(path):
+        key = self.key(model_name, text)
+        with self._lock:
+            if self._db is None:
+                return None
+            row = self._db.execute("SELECT value FROM vectors WHERE key = ?", (key,)).fetchone()
+        if row is None:
             return None
-        try:
-            vec = np.load(path, allow_pickle=False)
-        except Exception as exc:
-            log.warning("corrupt cache entry %s treated as miss: %s", path, exc)
+        value = row[0]
+        if not isinstance(value, bytes) or not value or len(value) % 8:
+            log.warning("corrupt cache entry %s in %s treated as miss", key, self.path)
             return None
-        return np.asarray(vec, dtype=np.float64)
+        return np.frombuffer(value, dtype="<f8").astype(np.float64)
 
-    def put(self, model_name: str, text: str, vec: np.ndarray) -> None:
-        buf = io.BytesIO()
-        np.save(buf, np.asarray(vec, dtype=np.float64), allow_pickle=False)
-        write_atomic(self._path(self.key(model_name, text)), buf.getvalue())
+    def put(self, model_name: str, texts: list[str], vectors: list[np.ndarray]) -> None:
+        """Store one batch of vectors, one per text, in one transaction."""
+        rows = [
+            (self.key(model_name, text), np.asarray(vec, dtype="<f8").tobytes())
+            for text, vec in zip(texts, vectors, strict=True)
+        ]
+        with self._lock:
+            if self._db is not None:
+                with self._db:
+                    self._db.executemany("INSERT OR REPLACE INTO vectors VALUES (?, ?)", rows)
 
 
-def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarray]:
+def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     payload = {cfg.model_field: cfg.model_name, cfg.input_field: texts}
     data = post_json(
         cfg.endpoint,
@@ -187,12 +230,13 @@ def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndar
         raise ProtocolError(
             f"expected {len(texts)} vectors, got {len(items) if isinstance(items, list) else type(items)}"
         )
-    vectors = []
-    for item in items:
-        raw = item.get(cfg.vector_field) if isinstance(item, dict) else item
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError("response item carries no vector")
-        vectors.append(np.asarray(raw, dtype=np.float64))
+    rows = [item.get(cfg.vector_field) if isinstance(item, dict) else item for item in items]
+    try:
+        vectors = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"response vectors are not equal-length lists of numbers: {exc}") from exc
+    if vectors.ndim != 2 or vectors.shape[1] == 0:
+        raise ProtocolError(f"response vectors do not form a non-empty (n, dim) table: shape {vectors.shape}")
     return vectors
 
 
@@ -202,37 +246,38 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     With cache_dir set, hits skip the provider entirely; results are
     identical either way because providers are pure functions of the text.
     Remote misses go out in batches of batch_size, up to parallelism at
-    once; each batch's vectors are cached as soon as it returns, so a failed
-    batch costs only itself.
+    once; each batch's vectors are cached in one transaction by the worker
+    that fetched them, so a failed batch costs only itself.
     """
     if not texts:
         raise ValueError("embed_batch requires at least one text")
     cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
+    with cache or contextlib.nullcontext():
+        vectors: list[np.ndarray | None] = [None] * len(texts)
+        missing: list[int] = []
+        if cache is not None:
+            for i, text in enumerate(texts):
+                vectors[i] = cache.get(cfg.model_name, text)
+                if vectors[i] is None:
+                    missing.append(i)
+        else:
+            missing = list(range(len(texts)))
 
-    vectors: list[np.ndarray | None] = [None] * len(texts)
-    missing: list[int] = []
-    if cache is not None:
-        for i, text in enumerate(texts):
-            vectors[i] = cache.get(cfg.model_name, text)
-            if vectors[i] is None:
-                missing.append(i)
-    else:
-        missing = list(range(len(texts)))
+        if cfg.kind == "deterministic-test":
+            # One call for all misses, so each distinct token is hashed once.
+            provider, batch_size = _test_vectors, max(len(missing), 1)
+        else:
+            provider, batch_size = partial(_remote_call, cfg=cfg), cfg.batch_size
 
-    if cfg.kind == "deterministic-test":
-        # One call for all misses, so each distinct token is hashed once.
-        provider, batch_size = _test_vectors, max(len(missing), 1)
-    else:
-        provider, batch_size = partial(_remote_call, cfg=cfg), cfg.batch_size
-
-    def fetch(batch: list[int]) -> None:
-        for i, vec in zip(batch, provider([texts[i] for i in batch])):
-            vectors[i] = normalize(vec)
+        def fetch(batch: list[int]) -> None:
+            batch_texts = [texts[i] for i in batch]
+            for i, vec in zip(batch, provider(batch_texts)):
+                vectors[i] = normalize(vec)
             if cache is not None:
-                cache.put(cfg.model_name, texts[i], vectors[i])
+                cache.put(cfg.model_name, batch_texts, [vectors[i] for i in batch])
 
-    batches = [missing[i : i + batch_size] for i in range(0, len(missing), batch_size)]
-    map_ordered(fetch, batches, cfg.parallelism)
+        batches = [missing[i : i + batch_size] for i in range(0, len(missing), batch_size)]
+        map_ordered(fetch, batches, cfg.parallelism)
 
     dims = {v.shape[0] for v in vectors}
     if len(dims) != 1:

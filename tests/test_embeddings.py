@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
 import hashlib
+import logging
+import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -163,34 +167,34 @@ class TestAgainstPerTokenOracle:
 
 class TestCache:
     def test_get_on_empty_cache(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path))
-        assert cache.get("m", "text") is None
+        with EmbeddingCache(str(tmp_path)) as cache:
+            assert cache.get("m", "text") is None
 
     def test_put_then_get_bit_exact(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path))
         vec = np.random.default_rng(0).normal(size=64)
-        cache.put("m", "text", vec)
-        assert np.array_equal(cache.get("m", "text"), vec)
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put("m", ["text"], [vec])
+            assert np.array_equal(cache.get("m", "text"), vec)
 
     def test_survives_reopen(self, tmp_path):
         vec = np.array([1.5, -2.25, 3.125])
-        EmbeddingCache(str(tmp_path)).put("m", "t", vec)
-        assert np.array_equal(EmbeddingCache(str(tmp_path)).get("m", "t"), vec)
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put("m", ["t"], [vec])
+        with EmbeddingCache(str(tmp_path)) as cache:
+            assert np.array_equal(cache.get("m", "t"), vec)
 
     def test_model_name_distinguishes_entries(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path))
-        cache.put("model-a", "same text", np.array([1.0]))
-        cache.put("model-b", "same text", np.array([2.0]))
-        assert cache.get("model-a", "same text")[0] == 1.0
-        assert cache.get("model-b", "same text")[0] == 2.0
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put("model-a", ["same text"], [np.array([1.0])])
+            cache.put("model-b", ["same text"], [np.array([2.0])])
+            assert cache.get("model-a", "same text")[0] == 1.0
+            assert cache.get("model-b", "same text")[0] == 2.0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path))
-        cache.put("m", "t", np.array([1.0]))
-        path = cache._path(cache.key("m", "t"))
-        with open(path, "wb") as fh:
-            fh.write(b"not a numpy file")
-        assert cache.get("m", "t") is None
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put("m", ["t"], [np.array([1.0])])
+            _set_row(cache.path, cache.key("m", "t"), b"")
+            assert cache.get("m", "t") is None
 
     def test_cached_results_match_uncached(self, tmp_path):
         texts = ["alpha beta", "gamma", "alpha beta"]
@@ -202,15 +206,100 @@ class TestCache:
         assert np.array_equal(first, second)
 
     def test_concurrent_access_is_benign(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path))
         vec = np.arange(16, dtype=np.float64)
+        with EmbeddingCache(str(tmp_path)) as cache:
 
-        def hammer(_):
-            cache.put("m", "k", vec)
-            got = cache.get("m", "k")
-            return got is None or np.array_equal(got, vec)
+            def hammer(_):
+                cache.put("m", ["k"], [vec])
+                got = cache.get("m", "k")
+                return got is None or np.array_equal(got, vec)
 
-        assert all(map_ordered(hammer, range(64), 8))
+            assert all(map_ordered(hammer, range(64), 8))
+
+
+def _set_row(store: str, key: str, value: bytes) -> None:
+    """Overwrite one row's value behind the cache's back."""
+    with contextlib.closing(sqlite3.connect(store)) as db, db:
+        assert db.execute("UPDATE vectors SET value = ? WHERE key = ?", (value, key)).rowcount == 1
+
+
+def _open_paths() -> list[str]:
+    paths = []
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the directory's own descriptor is gone by now
+            paths.append(os.readlink(os.path.join("/proc/self/fd", fd)))
+    return paths
+
+
+class TestStore:
+    @pytest.mark.parametrize("length", [1, 7, 9, 8 * 64 - 3])
+    def test_blob_length_not_a_multiple_of_8_is_a_miss(self, tmp_path, caplog, length):
+        vec = np.random.default_rng(1).normal(size=64)
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put("m", ["t"], [vec])
+            _set_row(cache.path, cache.key("m", "t"), vec.tobytes()[:length])
+            assert cache.get("m", "t") is None
+        assert "treated as miss" in caplog.text
+
+    def test_garbage_store_warns_once_and_runs_uncached(self, tmp_path, caplog):
+        garbage = b"this is not an sqlite3 database\n" * 100
+        store = tmp_path / EmbeddingCache.FILENAME
+        store.write_bytes(garbage)
+        texts = ["alpha beta", "gamma", "alpha beta"]
+        with caplog.at_level(logging.WARNING, logger="themepath.embeddings"):
+            out = embed_batch(texts, EmbeddingProviderConfig(cache_dir=str(tmp_path)))
+        assert np.array_equal(out, embed_batch(texts, EmbeddingProviderConfig()))
+        assert len(caplog.records) == 1
+        assert store.read_bytes() == garbage
+        assert os.listdir(tmp_path) == [EmbeddingCache.FILENAME]
+
+    def test_one_file_after_100_texts(self, tmp_path):
+        embed_batch([f"text number {i}" for i in range(100)], EmbeddingProviderConfig(cache_dir=str(tmp_path)))
+        assert os.listdir(tmp_path) == [EmbeddingCache.FILENAME]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_store_is_closed_when_embed_batch_returns_or_raises(self, stub_server, no_sleep, tmp_path):
+        store = str(tmp_path / EmbeddingCache.FILENAME)
+        embed_batch(["a", "b"], EmbeddingProviderConfig(cache_dir=str(tmp_path)))
+        assert store not in _open_paths()
+
+        server, url = stub_server([(400, {"error": "rejected"})])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))
+        with pytest.raises(ProtocolError) as info:
+            embed_batch(["c", "d"], cfg)
+        # info's traceback keeps embed_batch's frame, and so its cache, alive.
+        assert info.tb is not None and store not in _open_paths()
+
+    def test_two_caches_on_one_directory_from_two_threads(self, tmp_path):
+        rng = np.random.default_rng(2)
+        batches = {name: [(f"{name} {i}", rng.normal(size=32)) for i in range(200)] for name in ("x", "y")}
+        errors = []
+
+        def write(name):
+            try:
+                with EmbeddingCache(str(tmp_path)) as cache:
+                    for i in range(0, 200, 10):
+                        texts, vectors = zip(*batches[name][i : i + 10])
+                        cache.put("m", texts, vectors)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(name,)) for name in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        with EmbeddingCache(str(tmp_path)) as cache:
+            for text, vec in batches["x"] + batches["y"]:
+                assert np.array_equal(cache.get("m", text), vec)
+
+
+def test_cli_import_leaves_sqlite3_and_requests_unloaded():
+    code = "import sys, themepath.cli; print(sorted({'sqlite3', 'requests'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _embedding_payload(vectors):
@@ -272,6 +361,24 @@ class TestRemoteProvider:
         with pytest.raises(ProtocolError):
             embed_batch(["a"], cfg)
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [[[1.0, 2.0], [3.0, 4.0]]],
+            [[[1.0, 2.0], [3.0]]],
+            [[1.0, [2.0]]],
+            [["0.5", "x"]],
+            [[]],
+            [[1.0, 0.0], [1.0, 0.0, 0.0]],
+        ],
+        ids=["nested", "ragged-nested", "ragged-mixed", "strings", "empty", "ragged-batch"],
+    )
+    def test_malformed_vectors_are_protocol_errors(self, stub_server, no_sleep, items):
+        server, url = stub_server([(200, {"data": [{"embedding": v} for v in items]})])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)
+        with pytest.raises(ProtocolError):
+            embed_batch([f"t{i}" for i in range(len(items))], cfg)
+
     def test_wrong_vector_count(self, stub_server, no_sleep):
         server, url = stub_server([(200, _embedding_payload([[1.0, 0.0]]))])
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)
@@ -294,9 +401,8 @@ class TestRemoteProvider:
             cfg = EmbeddingProviderConfig(
                 kind="remote", endpoint=url, batch_size=batch_size, parallelism=4, cache_dir=str(cache_dir)
             )
-            cache = EmbeddingCache(str(cache_dir))
-            for text in cached:
-                cache.put(cfg.model_name, text, normalize(np.array(_vector_for(text))))
+            with EmbeddingCache(str(cache_dir)) as cache:
+                cache.put(cfg.model_name, cached, [normalize(np.array(_vector_for(t))) for t in cached])
             # Switch threads often, so a row lost between workers would show.
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
