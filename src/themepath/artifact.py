@@ -120,7 +120,7 @@ def load_artifact(path: str) -> RunArtifact:
             data = json.load(fh)
     except OSError as exc:
         raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"corrupt artifact {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ArtifactError(f"corrupt artifact {path}: not an object")

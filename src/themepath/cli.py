@@ -1,6 +1,9 @@
 """Command-line interface: summarize, evaluate, inspect, bench.
 
-Exit codes: 0 success, 1 internal error, 2 usage or input error.
+Exit codes, decided in one place (``_Cli.invoke``): 0 success; 2 a usage or
+input error (bad config, unreadable or non-UTF-8 file, bad artifact); 1 a
+failed pipeline stage or any other package error.  Anything else is a bug
+and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import json
 import math
 import os
 import statistics
-import sys
 import time
 
 import click
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import pathfinding
 from .artifact import (
+    ArtifactError,
     RunArtifact,
     decode_log_prob,
     load_artifact,
@@ -26,8 +29,8 @@ from .artifact import (
     to_canonical_json,
     write_atomic,
 )
-from .config import MODES, RunConfig, load_config
-from .errors import ConfigError, PipelineStageError, ThemepathError
+from .config import MODES, load_config
+from .errors import ConfigError, ThemepathError
 from .evaluation import EvalReport, evaluate_corpus, render_table
 from .markov import TransitionMatrix
 from .pipeline import run_pipeline
@@ -36,14 +39,34 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Cli(click.Group):
+    """Turns package errors into ``error: <message>`` and an exit code, for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # stdout's reader is gone: click's main exits 1 without a message
+        except (ConfigError, ArtifactError, ValueError, OSError) as exc:
+            error, code = exc, USAGE_ERROR
+        except ThemepathError as exc:  # PipelineStageError, TransportError, ...
+            error, code = exc, INTERNAL_ERROR
+        click.echo(f"error: {error}", err=True)
+        ctx.exit(code)
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main() -> None:
     """Long-document summarization via thematic clustering and Markov path ordering."""
+
+
+def _read_text(path: str) -> str:
+    """The file at ``path`` decoded as UTF-8; ConfigError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 # ``--provider`` names a pair of provider kinds.
@@ -51,14 +74,6 @@ _PROVIDER_KINDS = {
     "remote": {"embedding.kind": "remote", "llm.kind": "remote-chat"},
     "mock": {"embedding.kind": "deterministic-test", "llm.kind": "mock-extractive"},
 }
-
-
-def _load_run_config(config_path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """The config file's keys with ``overrides`` laid over them; exits 2 on a bad value."""
-    try:
-        return load_config(config_path, overrides)
-    except ConfigError as exc:
-        _fail(USAGE_ERROR, str(exc))
 
 
 @main.command("summarize")
@@ -78,25 +93,14 @@ def cmd_summarize(input_path, config_path, mode, k, seed, out_dir, provider):
     flags = {"mode": mode, "k": k, "seed": seed, "out_dir": out_dir}
     overrides = {key: str(value) for key, value in flags.items() if value is not None}
     overrides.update(_PROVIDER_KINDS.get(provider, {}))
-    cfg = _load_run_config(config_path, overrides)
-    if not os.path.isfile(input_path):
-        _fail(USAGE_ERROR, f"input file not found: {input_path}")
-    try:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            document = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail(USAGE_ERROR, f"cannot read {input_path}: {exc}")
-
-    try:
-        result = run_pipeline(
-            document, cfg.mode, cfg, progress=lambda stage: click.echo(f"[stage] {stage}")
-        )
-    except PipelineStageError as exc:
-        _fail(INTERNAL_ERROR, str(exc))
-    except ValueError as exc:
-        _fail(USAGE_ERROR, str(exc))
-
+    cfg = load_config(config_path, overrides)
+    document = _read_text(input_path)
+    # An unusable out_dir fails here, before any paid stage.
     os.makedirs(cfg.out_dir, exist_ok=True)
+    result = run_pipeline(
+        document, cfg.mode, cfg, progress=lambda stage: click.echo(f"[stage] {stage}")
+    )
+
     artifact_path = os.path.join(cfg.out_dir, "artifact.json")
     save_artifact(result, artifact_path)
     write_atomic(os.path.join(cfg.out_dir, "summary.txt"), result.final_summary + "\n")
@@ -111,18 +115,17 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str, str]]:
     """TSV lines: candidate_path <TAB> reference_path [<TAB> mode]."""
     rows: list[tuple[str, str, str]] = []
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"manifest line {lineno}: expected 2 or 3 tab-separated fields")
-            candidate = os.path.join(base, parts[0])
-            reference = os.path.join(base, parts[1])
-            mode = parts[2] if len(parts) == 3 else "default"
-            rows.append((candidate, reference, mode))
+    for lineno, raw in enumerate(_read_text(manifest_path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"manifest line {lineno}: expected 2 or 3 tab-separated fields")
+        candidate = os.path.join(base, parts[0])
+        reference = os.path.join(base, parts[1])
+        mode = parts[2] if len(parts) == 3 else "default"
+        rows.append((candidate, reference, mode))
     return rows
 
 
@@ -132,28 +135,12 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str, str]]:
 @click.option("--out", "out_path", default=None, help="Report JSON path (default: stdout only).")
 def cmd_evaluate(manifest_path, config_path, out_path):
     """Score candidate summaries against references per the manifest."""
-    cfg = _load_run_config(config_path)
-    if not os.path.isfile(manifest_path):
-        _fail(USAGE_ERROR, f"manifest not found: {manifest_path}")
-    try:
-        entries = _read_manifest(manifest_path)
-    except ConfigError as exc:
-        _fail(USAGE_ERROR, str(exc))
+    cfg = load_config(config_path)
+    entries = _read_manifest(manifest_path)
     if not entries:
-        _fail(USAGE_ERROR, "manifest is empty")
-
-    pairs = []
-    modes = []
-    for candidate_path, reference_path, mode in entries:
-        for path in (candidate_path, reference_path):
-            if not os.path.isfile(path):
-                _fail(USAGE_ERROR, f"manifest references missing file: {path}")
-        with open(candidate_path, "r", encoding="utf-8") as fh:
-            candidate = fh.read()
-        with open(reference_path, "r", encoding="utf-8") as fh:
-            reference = fh.read()
-        pairs.append((candidate, reference))
-        modes.append(mode)
+        raise ConfigError("manifest is empty")
+    pairs = [(_read_text(candidate), _read_text(reference)) for candidate, reference, _ in entries]
+    modes = [mode for _, _, mode in entries]
 
     report = evaluate_corpus(pairs, cfg.embedding, modes)
     rendered = render_table(report)
@@ -175,7 +162,7 @@ def report_to_json(report: EvalReport) -> str:
 
 def _artifact_matrix(art: RunArtifact) -> TransitionMatrix:
     if art.transition_matrix is None:
-        _fail(USAGE_ERROR, "artifact has no transition matrix (not a markov-cluster run)")
+        raise ArtifactError("artifact has no transition matrix (not a markov-cluster run)")
     data = art.transition_matrix
     return TransitionMatrix(
         probs=np.asarray(data["probs"], dtype=np.float64),
@@ -189,11 +176,7 @@ def _artifact_matrix(art: RunArtifact) -> TransitionMatrix:
 @click.option("--what", type=click.Choice(["matrix", "path", "clusters"]), required=True)
 def cmd_inspect(artifact_path, what):
     """Pretty-print one facet of a run artifact."""
-    try:
-        art = load_artifact(artifact_path)
-    except ThemepathError as exc:
-        _fail(USAGE_ERROR, str(exc))
-
+    art = load_artifact(artifact_path)
     if what == "matrix":
         matrix = _artifact_matrix(art)
         for i, row in enumerate(matrix.probs):
@@ -202,7 +185,7 @@ def cmd_inspect(artifact_path, what):
             click.echo(f"row {i}: [{cells}]  ({note})")
     elif what == "path":
         if art.path is None:
-            _fail(USAGE_ERROR, "artifact has no path (not a markov-cluster run)")
+            raise ArtifactError("artifact has no path (not a markov-cluster run)")
         order = art.path["order"]
         log_prob = decode_log_prob(art.path["log_prob"])
         matrix = _artifact_matrix(art)
@@ -214,7 +197,7 @@ def cmd_inspect(artifact_path, what):
         click.echo(f"method: {art.path['method']}")
     else:
         if art.labels is None or art.representatives is None:
-            _fail(USAGE_ERROR, "artifact has no clustering data")
+            raise ArtifactError("artifact has no clustering data")
         from collections import Counter
 
         sizes = Counter(art.labels)

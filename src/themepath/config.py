@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .chunking import ChunkerConfig
 from .embeddings import EmbeddingProviderConfig
 from .errors import ConfigError
-from .pathfinding import DP_HARD_CAP
 from .summarize import LlmProviderConfig
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -41,7 +40,6 @@ class RunConfig:
     k: int | None = None
     top_k: int = 5
     collapse_runs: bool = False
-    path_cap: int = DP_HARD_CAP
     mode: str = "markov-cluster"
     seed: int = 0
     out_dir: str = "runs"
@@ -58,10 +56,6 @@ class RunConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if not 1 <= self.path_cap <= DP_HARD_CAP:
-            raise ConfigError(
-                f"path_cap must satisfy 1 <= path_cap <= {DP_HARD_CAP}, got {self.path_cap}"
-            )
 
     def snapshot(self) -> dict:
         """JSON-ready copy of every setting; contains no secret values."""
@@ -199,6 +193,6 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_mapping({**parse_config_text(text), **(overrides or {})})

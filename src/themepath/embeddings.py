@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
+import math
 import os
 import threading
 import weakref
@@ -70,6 +71,8 @@ class EmbeddingProviderConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not math.isfinite(self.timeout):
+            raise ValueError(f"timeout must be finite, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism < 1:

@@ -6,18 +6,18 @@ choice of start and end node.
 
 * ``solve_dp``: exact bitmask dynamic programming (Held-Karp), O(k^2 * 2^k)
   time.  DP_HARD_CAP = 22 is the one cap on it: ``solve_dp`` refuses a
-  larger k before it allocates anything, and the config's ``path_cap``
-  and ``choose_k``'s default clamp never exceed it.  Its kernel fills the
-  subsets in cardinality order, keeps the values of only two adjacent
-  cardinalities, and records one int8 successor per (subset, node) cell
-  for the walk.  Space: the 2^k * k byte successor table plus the two
-  layers, about 21 + 30 MB at k = 20 and 92 + 124 MB at k = 22 with the
-  compiled kernel (a full 2^k x k float64 table would take 168 MB and
-  738 MB).  The kernel is the plain-C extension ``_pathcore`` when it is
-  built, else a bit-identical numpy fallback.
+  larger k before it allocates anything, and ``choose_k``'s default clamp
+  never exceeds it.  Its kernel fills the subsets in cardinality order,
+  keeps the values of only two adjacent cardinalities, and records one
+  int8 successor per (subset, node) cell for the walk.  Space: the 2^k * k
+  byte successor table plus the two layers, about 21 + 30 MB at k = 20
+  and 92 + 124 MB at k = 22 with the compiled kernel (a full 2^k x k
+  float64 table would take 168 MB and 738 MB).  The kernel is the plain-C
+  extension ``_pathcore`` when it is built, else a bit-identical numpy
+  fallback.
 * ``solve_greedy``: best-of-k-starts nearest-successor heuristic for k
-  beyond the DP cap.  The pipeline alone picks between the two, by
-  comparing k with ``path_cap``.
+  beyond the DP cap.  The pipeline alone picks between the two: the exact
+  solver when k <= DP_HARD_CAP, else the heuristic.
 
 All work happens in log space; a zero-probability edge contributes -inf,
 so paths through missing transitions stay representable and always rank

@@ -27,7 +27,7 @@ from .config import MODES, RunConfig
 from .embeddings import embed_batch
 from .errors import PipelineStageError
 from .markov import build_transition_matrix
-from .pathfinding import solve_dp, solve_greedy
+from .pathfinding import DP_HARD_CAP, solve_dp, solve_greedy
 from .summarize import aggregate_final, summarize_clusters, summarize_full_document
 
 Progress = Callable[[str], None] | None
@@ -125,7 +125,7 @@ def run_pipeline(
         )
 
         def path_stage():
-            if matrix.k <= cfg.path_cap:
+            if matrix.k <= DP_HARD_CAP:
                 return solve_dp(matrix)
             return solve_greedy(matrix)
 

@@ -21,6 +21,7 @@ changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -56,12 +57,14 @@ class LlmProviderConfig:
             raise ValueError(f"unknown llm provider kind: {self.kind!r}")
         if self.kind == "remote-chat" and not self.endpoint:
             raise ValueError("remote-chat provider requires an endpoint")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not math.isfinite(self.timeout):
+            raise ValueError(f"timeout must be finite, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism < 1:

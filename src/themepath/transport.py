@@ -128,10 +128,11 @@ def post_json(
     """POST a JSON payload and return the decoded JSON response.
 
     Connection failures and retryable HTTP statuses are retried with
-    exponential backoff (max_retries additional attempts).  A URL that can
-    never be sent (no scheme, an unknown scheme, a malformed host) raises
-    TransportError on the first attempt.  Anything that comes back 2xx but
-    is not JSON raises ProtocolError.  Requests go through the calling
+    exponential backoff (max_retries additional attempts).  A request that
+    can never be sent (no scheme, an unknown scheme, a malformed host, a
+    payload holding NaN or infinity) raises TransportError on the first
+    attempt.  Anything that comes back 2xx but is not JSON raises
+    ProtocolError.  Requests go through the calling
     thread's session, so consecutive calls to one host reuse a kept-alive
     connection.  When the environment variable named by auth_token_env
     holds a token, it is sent as ``Authorization: Bearer <token>``; unset
@@ -140,7 +141,7 @@ def post_json(
     # Imported on first use: loading requests is a large share of the CLI's
     # start-up, and runs with offline providers never send a request.
     import requests
-    from requests.exceptions import InvalidSchema, InvalidURL, MissingSchema
+    from requests.exceptions import InvalidJSONError, InvalidSchema, InvalidURL, MissingSchema
 
     token = os.environ.get(auth_token_env) if auth_token_env else None
     headers = {"Authorization": f"Bearer {token}"} if token else None
@@ -150,8 +151,9 @@ def post_json(
             _sleep(backoff_base * (2 ** (attempt - 1)))
         try:
             resp = _session().post(url, json=payload, headers=headers, timeout=timeout)
-        except (MissingSchema, InvalidSchema, InvalidURL) as exc:
-            # A malformed URL fails the same way on every attempt.
+        except (MissingSchema, InvalidSchema, InvalidURL, InvalidJSONError) as exc:
+            # A malformed URL or a payload that is not JSON (NaN, say) fails
+            # the same way on every attempt.
             raise TransportError(f"cannot send to {url!r}: {exc}") from exc
         except requests.RequestException as exc:
             last_error = exc

@@ -3,17 +3,36 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import make_topic_document, tokens_per_chunk
+import themepath
 from themepath.artifact import RunArtifact, matrix_to_dict, save_artifact
 from themepath.cli import main
 from themepath.config import RunConfig
 from themepath.markov import build_transition_matrix
 from themepath.pathfinding import solve_dp
+
+
+@pytest.fixture(autouse=True)
+def _cwd_in_tmp_path(tmp_path, monkeypatch):
+    """Runs without ``--out-dir`` create the default ``runs`` here, not in the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
+def console(*args: str, **kwargs) -> subprocess.Popen:
+    """``themepath *args`` in a fresh interpreter, outside CliRunner, on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(themepath.__file__))}
+    return subprocess.Popen([sys.executable, "-m", "themepath.cli", *args], env=env, **kwargs)
+
+
+def error_lines(result) -> list[str]:
+    return [line for line in result.output.splitlines() if line.startswith("error: ")]
 
 
 def write_config(path, chunk_size=None, overlap=None, extra=()):
@@ -165,6 +184,45 @@ class TestSummarizeCommand:
         assert result.exit_code == 0, result.output
         assert json.loads((out_dir / "artifact.json").read_text())["config"]["out_dir"] == str(out_dir)
 
+    def test_non_utf8_input_exits_2_naming_path(self, tmp_path):
+        doc = tmp_path / "latin1.txt"
+        doc.write_bytes("caf\u00e9 au lait. Encore.".encode("latin-1"))
+        result = CliRunner().invoke(main, ["summarize", str(doc), "--provider", "mock"])
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1
+        assert error_lines(result)[0].startswith(f"error: cannot read {doc}: ")
+        assert "[stage]" not in result.output
+
+    def test_non_utf8_config_exits_2_naming_path(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Some document. With sentences.")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"out_dir = caf\xe9\n")
+        result = CliRunner().invoke(main, ["summarize", str(doc), "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert error_lines(result)[0].startswith(f"error: cannot read config {cfg_path}: ")
+
+    def test_out_dir_that_is_a_file_exits_2_before_any_stage(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Some document. With sentences.")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        args = ["summarize", str(doc), "--provider", "mock", "--out-dir", str(taken)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1 and str(taken) in error_lines(result)[0]
+        assert "[stage]" not in result.output
+        assert taken.read_text() == "not a directory\n"
+
+    def test_console_entry_point_prints_one_error_line_and_no_traceback(self, tmp_path):
+        ghost = tmp_path / "ghost.txt"
+        proc = console("summarize", str(ghost), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert stderr.decode().startswith(f"error: cannot read {ghost}: ")
+        assert len(stderr.splitlines()) == 1
+        assert b"Traceback" not in stderr + stdout
+
 
 def fixture_artifact(tmp_path) -> str:
     """Artifact built around the k=3 pathfinding fixture and markov example."""
@@ -226,6 +284,25 @@ class TestInspectCommand:
         result = runner.invoke(main, ["inspect", str(bad), "--what", "path"])
         assert result.exit_code == 2
 
+    def test_non_utf8_artifact_exits_2_as_corrupt(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"mode": "caf\xe9"}')
+        result = CliRunner().invoke(main, ["inspect", str(bad), "--what", "path"])
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1
+        assert error_lines(result)[0].startswith(f"error: corrupt artifact {bad}: ")
+
+    def test_artifact_without_a_path_exits_2(self, tmp_path):
+        art = fixture_artifact(tmp_path)
+        with open(art) as fh:
+            data = json.load(fh)
+        data["path"] = None
+        with open(art, "w") as fh:
+            json.dump(data, fh)
+        result = CliRunner().invoke(main, ["inspect", art, "--what", "path"])
+        assert result.exit_code == 2
+        assert error_lines(result) == ["error: artifact has no path (not a markov-cluster run)"]
+
 
 class TestEvaluateCommand:
     def test_identical_pair_scores_one(self, tmp_path):
@@ -254,6 +331,46 @@ class TestEvaluateCommand:
         runner = CliRunner()
         result = runner.invoke(main, ["evaluate", str(manifest)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bad", ["cand.txt", "ref.txt"])
+    def test_non_utf8_summary_file_exits_2_naming_it(self, tmp_path, bad):
+        (tmp_path / "cand.txt").write_text("The fox jumps. The dog sleeps.")
+        (tmp_path / "ref.txt").write_text("The fox jumps. The dog sleeps.")
+        (tmp_path / bad).write_bytes("caf\u00e9. Fin.".encode("latin-1"))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("cand.txt\tref.txt\n")
+        result = CliRunner().invoke(main, ["evaluate", str(manifest)])
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1
+        assert error_lines(result)[0].startswith(f"error: cannot read {tmp_path / bad}: ")
+
+    def test_non_utf8_manifest_exits_2_naming_it(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"caf\xe9.txt\tref.txt\n")
+        result = CliRunner().invoke(main, ["evaluate", str(manifest)])
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1
+        assert error_lines(result)[0].startswith(f"error: cannot read {manifest}: ")
+
+    def test_unreachable_embedding_provider_exits_1_with_one_error_line(self, tmp_path):
+        (tmp_path / "cand.txt").write_text("The fox jumps. The dog sleeps.")
+        (tmp_path / "ref.txt").write_text("The fox jumps. The dog sleeps.")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("cand.txt\tref.txt\n")
+        cfg_path = tmp_path / "run.cfg"
+        write_config(
+            cfg_path,
+            extra=[
+                "embedding.kind = remote",
+                "embedding.endpoint = http://127.0.0.1:1/nowhere",
+                "embedding.max_retries = 0",
+            ],
+        )
+        result = CliRunner().invoke(main, ["evaluate", str(manifest), "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert len(error_lines(result)) == 1 and "unreachable" in error_lines(result)[0]
+        assert "Traceback" not in result.output
 
 
 class TestBenchCommand:
@@ -294,3 +411,11 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench", "--max-k", "3", "--trials", "1", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text().startswith("k,milliseconds")
+
+    def test_closed_stdout_exits_1_without_an_error_line(self):
+        args = ["bench", "--max-k", "3", "--trials", "1"]
+        proc = console(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the command writes its table
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"error:" not in stderr and b"Traceback" not in stderr

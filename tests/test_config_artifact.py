@@ -44,7 +44,6 @@ class TestConfigParsing:
         assert cfg.chunker.chunk_size == 500
         assert cfg.chunker.overlap == 20
         assert cfg.top_k == 5
-        assert cfg.path_cap == 22
         assert cfg.llm.temperature == 0.0
         assert cfg.embedding.parallelism == 4
         assert cfg.llm.parallelism == 8
@@ -72,10 +71,13 @@ class TestConfigParsing:
             config_from_mapping({"chunk_size": "10", "overlap": "10"})
 
     @pytest.mark.parametrize("path_cap", [0, 23, 30])
-    def test_path_cap_outside_solver_range_rejected(self, path_cap):
-        message = f"path_cap must satisfy 1 <= path_cap <= 22, got {path_cap}"
+    def test_path_cap_outside_solver_range_rejected(self, tmp_path, path_cap):
+        """``path_cap`` is no key: the solver follows from k, so any value is refused."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"k = 26\npath_cap = {path_cap}\n")
+        message = "unknown config key: 'path_cap'"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            config_from_mapping({"path_cap": str(path_cap), "k": "26"})
+            load_config(str(path))
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -107,6 +109,12 @@ class TestConfigParsing:
             ("llm.timeout = 0", "timeout must be > 0, got 0.0"),
             ("llm.timeout = -1", "timeout must be > 0, got -1.0"),
             ("llm.timeout = nan", "timeout must be > 0, got nan"),
+            ("llm.timeout = inf", "timeout must be finite, got inf"),
+            ("embedding.timeout = inf", "timeout must be finite, got inf"),
+            ("embedding.timeout = nan", "timeout must be > 0, got nan"),
+            ("llm.temperature = nan", "temperature must be finite and >= 0, got nan"),
+            ("llm.temperature = inf", "temperature must be finite and >= 0, got inf"),
+            ("llm.temperature = -0.5", "temperature must be finite and >= 0, got -0.5"),
             ("llm.context_margin = -5", "context_margin must be >= 0, got -5"),
             ("llm.context_limit = 1000", "context_limit must be > context_margin, got 1000 <= 1024"),
             (
@@ -205,7 +213,6 @@ ALL_KEYS = {
     "k": ("9", 9),
     "top_k": ("4", 4),
     "collapse_runs": ("yes", True),
-    "path_cap": ("18", 18),
     "mode": ("cluster-sum", "cluster-sum"),
     "seed": ("11", 11),
     "out_dir": ("runs/x", "runs/x"),
@@ -221,7 +228,7 @@ def _setting(cfg: RunConfig, key: str):
 
 class TestConfigKeys:
     def test_every_key_parses_to_its_field_type(self):
-        assert len(ALL_KEYS) == 33
+        assert len(ALL_KEYS) == 32
         cfg = config_from_mapping({key: raw for key, (raw, _) in ALL_KEYS.items()})
         for key, (_, expected) in ALL_KEYS.items():
             value = _setting(cfg, key)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
+from themepath import pipeline
 from themepath.artifact import decode_log_prob, to_canonical_json
 from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.config import RunConfig
 from themepath.errors import PipelineStageError, ProtocolError
 from themepath.markov import TransitionMatrix
-from themepath.pathfinding import solve_greedy
+from themepath.pathfinding import DP_HARD_CAP, solve_greedy
 from themepath.pipeline import first_appearance_order, run_pipeline
 from themepath.summarize import (
     LlmProviderConfig,
@@ -272,18 +273,24 @@ class TestRunPipeline:
         assert parallel.cluster_summaries == serial.cluster_summaries
         assert parallel.final_summary == serial.final_summary
 
-    def test_path_cap_below_k_takes_the_greedy_branch(self):
-        document = make_topic_document(seed=6, topic_order=["beta", "gamma", "alpha", "delta"])
-        runs = {}
-        for path_cap in (3, 4):
-            cfg = pipeline_config(seed=6, k=4)
-            cfg.path_cap = path_cap
-            runs[path_cap] = run_pipeline(document, "markov-cluster", cfg)
-        greedy, exact = runs[3], runs[4]
-        assert (greedy.path["method"], exact.path["method"]) == ("greedy", "dp")
+    def test_path_cap_below_k_takes_the_greedy_branch(self, monkeypatch):
+        """The exact solver runs up to k = DP_HARD_CAP, the greedy one beyond it."""
+        # 24 chunks of random words: 24 distinct vectors, so k = 23 and 22 stand.
+        document = make_topic_document(
+            seed=6, topic_order=["beta", "gamma", "alpha", "delta"], chunks_per_topic=6
+        )
+        cfg = pipeline_config(seed=6, k=DP_HARD_CAP + 1)
+        greedy = run_pipeline(document, "markov-cluster", cfg)
         data = greedy.transition_matrix
+        assert (data["k"], greedy.path["method"]) == (DP_HARD_CAP + 1, "greedy")
         matrix = TransitionMatrix(np.array(data["probs"]), data["k"], frozenset(data["zero_rows"]))
         assert greedy.path["order"] == solve_greedy(matrix).order
+
+        # At the cap the pipeline calls solve_dp; a stand-in spares the 2^22-cell table.
+        solved = []
+        monkeypatch.setattr(pipeline, "solve_dp", lambda m: solved.append(m.k) or solve_greedy(m))
+        run_pipeline(document, "markov-cluster", pipeline_config(seed=6, k=DP_HARD_CAP))
+        assert solved == [DP_HARD_CAP]
 
     @pytest.mark.parametrize("mode", ["cluster-sum", "llm-full"])
     def test_artifact_config_records_the_mode_that_ran(self, mode):

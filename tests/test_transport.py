@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 import re
 import subprocess
@@ -155,6 +156,17 @@ def test_unsendable_url_fails_on_the_first_attempt(url, monkeypatch):
     monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
     with pytest.raises(TransportError, match=f"^cannot send to {re.escape(repr(url))}: ") as info:
         post_json(url, {"n": 1})
+    assert sleeps == []
+    assert "attempts" not in str(info.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_unsendable_payload_fails_on_the_first_attempt(value, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
+    url = "http://127.0.0.1:9/v1/chat"
+    with pytest.raises(TransportError, match=f"^cannot send to {re.escape(repr(url))}: ") as info:
+        post_json(url, {"temperature": value}, max_retries=3)
     assert sleeps == []
     assert "attempts" not in str(info.value)
 
