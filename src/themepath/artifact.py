@@ -124,4 +124,53 @@ def load_artifact(path: str) -> RunArtifact:
         raise ArtifactError(f"corrupt artifact {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ArtifactError(f"corrupt artifact {path}: not an object")
-    return RunArtifact.from_dict(data)
+    artifact = RunArtifact.from_dict(data)
+    problem = _path_and_matrix_problem(artifact)
+    if problem is not None:
+        raise ArtifactError(f"corrupt artifact {path}: {problem}")
+    return artifact
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON booleans load as bool, a subclass of int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _path_and_matrix_problem(artifact: RunArtifact) -> str | None:
+    """What makes the transition matrix or path unreadable, or None if both can be read.
+
+    The matrix must be k x k numbers with zero rows in range(k); the path's
+    order a permutation of range(k), its log_prob a number or "-inf".
+    """
+    k = None
+    matrix = artifact.transition_matrix
+    if matrix is not None:
+        if not isinstance(matrix, dict) or not _is_int(matrix.get("k")) or matrix["k"] < 1:
+            return "transition_matrix has no k >= 1"
+        k = matrix["k"]
+        probs = matrix.get("probs")
+        if not isinstance(probs, list) or len(probs) != k or not all(
+            isinstance(row, list) and len(row) == k and all(map(_is_number, row)) for row in probs
+        ):
+            return f"transition_matrix probs is not a {k} x {k} table of numbers"
+        zero_rows = matrix.get("zero_rows")
+        if not isinstance(zero_rows, list) or not all(_is_int(i) and 0 <= i < k for i in zero_rows):
+            return f"transition_matrix zero_rows is not a list of rows in range({k})"
+    path = artifact.path
+    if path is not None:
+        if not isinstance(path, dict) or not isinstance(path.get("order"), list):
+            return "path has no order"
+        order = path["order"]
+        if not all(map(_is_int, order)):
+            return "path order holds a non-integer"
+        if k is not None and sorted(order) != list(range(k)):
+            return f"path order {order} is not a permutation of range({k})"
+        log_prob = path.get("log_prob")
+        if not (_is_number(log_prob) or log_prob == "-inf"):
+            return "path has no log_prob"
+        if not isinstance(path.get("method"), str):
+            return "path has no method"
+    return None

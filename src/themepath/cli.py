@@ -95,8 +95,10 @@ def cmd_summarize(input_path, config_path, mode, k, seed, out_dir, provider):
     overrides.update(_PROVIDER_KINDS.get(provider, {}))
     cfg = load_config(config_path, overrides)
     document = _read_text(input_path)
-    # An unusable out_dir fails here, before any paid stage.
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    # An unusable out_dir or cache_dir fails here, before any paid stage.
+    for directory in (cfg.out_dir, cfg.embedding.cache_dir):
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
     result = run_pipeline(
         document, cfg.mode, cfg, progress=lambda stage: click.echo(f"[stage] {stage}")
     )

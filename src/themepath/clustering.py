@@ -10,8 +10,12 @@ expansion ||x||^2 - 2 x.c^T + ||c||^2: one matrix product, clamped at 0
 against rounding.  ||x||^2 is computed once per ``kmeans`` call, so a
 step's working memory is O(n*k) on top of the O(n*d) input, where the
 direct difference formula would hold an n*k*d tensor (about 270 MB at
-n = 2000, d = 768, k = 22).  Seeding's D^2 and each step's inertia are
-computed in one n*d scratch buffer allocated once per ``kmeans`` call.
+n = 2000, d = 768, k = 22).  Seeding takes each draw's D^2 column from
+the same expansion, one matrix-vector product.  A step's inertia is
+total minus between sum of squares, O(k*d); only the final partition's
+inertia, which picks the winning start, is the plain residual sum.  The
+total sum of squares and that final sum use one n*d scratch buffer
+allocated once per ``kmeans`` call.
 """
 
 from __future__ import annotations
@@ -72,19 +76,21 @@ def _squared_residuals(vectors: np.ndarray, targets: np.ndarray, work: np.ndarra
 
 
 def _seed_centroids(
-    vectors: np.ndarray, k: int, rng: np.random.Generator, work: np.ndarray
+    vectors: np.ndarray, k: int, rng: np.random.Generator, vector_norms: np.ndarray
 ) -> np.ndarray:
+    """k-means++ draws; each drawn row's D^2 column is one matrix-vector product."""
     n = vectors.shape[0]
     centroids = np.empty((k, vectors.shape[1]), dtype=np.float64)
     centroids[0] = vectors[int(rng.integers(n))]
     if k == 1:
         return centroids
-    d2 = _squared_residuals(vectors, centroids[0], work).sum(axis=1)
+    d2 = _squared_distances(vectors, centroids[:1], vector_norms)[:, 0]
     for i in range(1, k):
         probs = d2 / d2.sum()
         idx = int(rng.choice(n, p=probs))
         centroids[i] = vectors[idx]
-        d2 = np.minimum(d2, _squared_residuals(vectors, centroids[i], work).sum(axis=1))
+        column = _squared_distances(vectors, centroids[i : i + 1], vector_norms)[:, 0]
+        np.minimum(d2, column, out=d2)
     return centroids
 
 
@@ -107,7 +113,7 @@ def kmeanspp_seed(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     _check_feasible(vectors, k)
-    return _seed_centroids(vectors, k, np.random.default_rng(seed), np.empty_like(vectors))
+    return _seed_centroids(vectors, k, np.random.default_rng(seed), _squared_norms(vectors))
 
 
 def kmeans(
@@ -127,20 +133,24 @@ def kmeans(
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     _check_feasible(vectors, k)
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     norms = _squared_norms(vectors)
     work = np.empty_like(vectors)  # the one n x d scratch buffer of the whole call
+    mean = vectors.mean(axis=0)
+    total_ss = float(_squared_residuals(vectors, mean, work).sum())
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=np.float64, copy=True)
         if centroids.shape != (k, vectors.shape[1]):
             raise ValueError("init_centroids shape mismatch")
-        return _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
+        return _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, mean, total_ss, work)
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
     rng = np.random.default_rng(seed)
     best: ClusterAssignment | None = None
     for _ in range(n_init):
-        centroids = _seed_centroids(vectors, k, rng, work)
-        run = _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
+        centroids = _seed_centroids(vectors, k, rng, norms)
+        run = _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, mean, total_ss, work)
         if best is None or run.inertia < best.inertia:
             best = run
     return best
@@ -154,6 +164,8 @@ def _lloyd(
     tol: float,
     seed: int,
     vector_norms: np.ndarray,
+    mean: np.ndarray,
+    total_ss: float,
     work: np.ndarray,
 ) -> ClusterAssignment:
     """Alternate assignment and centroid update until the centroids settle.
@@ -162,6 +174,11 @@ def _lloyd(
     assignment step empties a cluster its centroid is reseeded to the point
     farthest from it (taken from a cluster with >= 2 members), which keeps
     every cluster non-empty and keeps inertia non-increasing.
+
+    Each step's inertia goes into the history as total minus between sum of
+    squares, ``total_ss - sum_c m_c ||mu_c - mean||^2``, at O(k*d) per step;
+    centring on the grand mean bounds its rounding by the data's spread.
+    The returned inertia is the plain residual sum of the final partition.
     """
     n = vectors.shape[0]
     labels = np.zeros(n, dtype=np.int64)
@@ -185,20 +202,20 @@ def _lloyd(
         for c in range(k):
             new_centroids[c] = vectors[labels == c].mean(axis=0)
 
-        # labels are always in range; mode="raise" would buffer out in an n x d copy
-        np.take(new_centroids, labels, axis=0, out=work, mode="clip")
-        inertia = float(_squared_residuals(vectors, work, work).sum())
-        history.append(inertia)
+        between = float(counts @ _squared_norms(new_centroids - mean))
+        history.append(max(total_ss - between, 0.0))
 
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < tol:
             break
 
+    # labels are always in range; mode="raise" would buffer out in an n x d copy
+    np.take(centroids, labels, axis=0, out=work, mode="clip")
     return ClusterAssignment(
         labels=labels,
         centroids=centroids,
-        inertia=history[-1],
+        inertia=float(_squared_residuals(vectors, work, work).sum()),
         k=k,
         seed=seed,
         inertia_history=history,

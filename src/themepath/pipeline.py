@@ -94,7 +94,10 @@ def run_pipeline(
     vectors = stages.run("embed", lambda: embed_batch(texts, cfg.embedding))
 
     def cluster_stage():
-        k = min(choose_k(len(chunks), cfg.k), distinct_count(vectors))
+        k = choose_k(len(chunks), cfg.k)
+        # k distinct rows among the first k need no count of all n rows.
+        if distinct_count(vectors[:k]) < k:
+            k = min(k, distinct_count(vectors))
         return kmeans(vectors, k, cfg.seed)
 
     assignment = stages.run("cluster", cluster_stage)

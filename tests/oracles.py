@@ -10,6 +10,12 @@ import re
 import numpy as np
 
 from themepath.chunking import Chunk, ChunkerConfig, TokenSequence
+from themepath.clustering import (
+    ClusterAssignment,
+    _check_feasible,
+    _squared_distances,
+    _squared_norms,
+)
 from themepath.embeddings import _TEST_HASH_SEED, TEST_PROVIDER_DIM, normalize
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix
@@ -164,3 +170,116 @@ def per_token_test_vector(text: str) -> np.ndarray:
         digest = hashlib.sha256(_TEST_HASH_SEED + text.encode("utf-8")).digest()
         vec[int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM] = 1.0
     return normalize(vec)
+
+
+def _oracle_squared_residuals(
+    vectors: np.ndarray, targets: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """``(vectors - targets) ** 2`` written into ``work``, an n x d scratch buffer."""
+    np.subtract(vectors, targets, out=work)
+    return np.multiply(work, work, out=work)
+
+
+def _oracle_seed_centroids(
+    vectors: np.ndarray, k: int, rng: np.random.Generator, work: np.ndarray
+) -> np.ndarray:
+    """k-means++ seeding with each draw's D^2 from subtract, square and row-sum."""
+    n = vectors.shape[0]
+    centroids = np.empty((k, vectors.shape[1]), dtype=np.float64)
+    centroids[0] = vectors[int(rng.integers(n))]
+    if k == 1:
+        return centroids
+    d2 = _oracle_squared_residuals(vectors, centroids[0], work).sum(axis=1)
+    for i in range(1, k):
+        probs = d2 / d2.sum()
+        idx = int(rng.choice(n, p=probs))
+        centroids[i] = vectors[idx]
+        d2 = np.minimum(d2, _oracle_squared_residuals(vectors, centroids[i], work).sum(axis=1))
+    return centroids
+
+
+def oracle_kmeans(
+    vectors: np.ndarray,
+    k: int,
+    seed: int,
+    max_iters: int = 100,
+    tol: float = 1e-6,
+    init_centroids: np.ndarray | None = None,
+    n_init: int = 10,
+) -> ClusterAssignment:
+    """k-means with masked-mean updates and the plain inertia after every Lloyd step.
+
+    Best of n_init k-means++ starts drawn from one generator seeded with
+    ``seed``; the lowest-inertia run wins, the earlier one on ties.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    _check_feasible(vectors, k)
+    norms = _squared_norms(vectors)
+    work = np.empty_like(vectors)
+    if init_centroids is not None:
+        centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+        if centroids.shape != (k, vectors.shape[1]):
+            raise ValueError("init_centroids shape mismatch")
+        return _oracle_lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
+    if n_init < 1:
+        raise ValueError("n_init must be >= 1")
+    rng = np.random.default_rng(seed)
+    best: ClusterAssignment | None = None
+    for _ in range(n_init):
+        centroids = _oracle_seed_centroids(vectors, k, rng, work)
+        run = _oracle_lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
+        if best is None or run.inertia < best.inertia:
+            best = run
+    return best
+
+
+def _oracle_lloyd(
+    vectors: np.ndarray,
+    k: int,
+    centroids: np.ndarray,
+    max_iters: int,
+    tol: float,
+    seed: int,
+    vector_norms: np.ndarray,
+    work: np.ndarray,
+) -> ClusterAssignment:
+    """Lloyd iterations; an emptied cluster takes the eligible point farthest from it."""
+    n = vectors.shape[0]
+    labels = np.zeros(n, dtype=np.int64)
+    history: list[float] = []
+    for _ in range(max_iters):
+        d2 = _squared_distances(vectors, centroids, vector_norms)
+        labels = np.argmin(d2, axis=1)
+
+        counts = np.bincount(labels, minlength=k)
+        for c in range(k):
+            if counts[c] > 0:
+                continue
+            eligible = counts[labels] >= 2
+            candidate = np.where(eligible, d2[:, c], -np.inf)
+            p = int(np.argmax(candidate))
+            counts[labels[p]] -= 1
+            labels[p] = c
+            counts[c] = 1
+
+        new_centroids = np.empty_like(centroids)
+        for c in range(k):
+            new_centroids[c] = vectors[labels == c].mean(axis=0)
+
+        np.take(new_centroids, labels, axis=0, out=work, mode="clip")
+        inertia = float(_oracle_squared_residuals(vectors, work, work).sum())
+        history.append(inertia)
+
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < tol:
+            break
+
+    return ClusterAssignment(
+        labels=labels,
+        centroids=centroids,
+        inertia=history[-1],
+        k=k,
+        seed=seed,
+        inertia_history=history,
+    )

@@ -214,6 +214,20 @@ class TestSummarizeCommand:
         assert "[stage]" not in result.output
         assert taken.read_text() == "not a directory\n"
 
+    def test_cache_dir_that_is_a_file_exits_2_before_any_stage(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Some document. With sentences.")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        config = tmp_path / "run.cfg"
+        write_config(config, extra=[f"embedding.cache_dir = {taken}"])
+        args = ["summarize", str(doc), "--config", str(config), "--out-dir", str(tmp_path / "run")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1 and str(taken) in error_lines(result)[0]
+        assert "[stage]" not in result.output
+        assert taken.read_text() == "not a directory\n"
+
     def test_console_entry_point_prints_one_error_line_and_no_traceback(self, tmp_path):
         ghost = tmp_path / "ghost.txt"
         proc = console("summarize", str(ghost), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -302,6 +316,38 @@ class TestInspectCommand:
         result = CliRunner().invoke(main, ["inspect", art, "--what", "path"])
         assert result.exit_code == 2
         assert error_lines(result) == ["error: artifact has no path (not a markov-cluster run)"]
+
+    @pytest.mark.parametrize(
+        "field, edit, problem",
+        [
+            ("path", lambda path: path.pop("order"), "path has no order"),
+            (
+                "path",
+                lambda path: path.update(order=[0, 99, 1]),
+                "path order [0, 99, 1] is not a permutation of range(3)",
+            ),
+            (
+                "transition_matrix",
+                lambda matrix: matrix.pop("k"),
+                "transition_matrix has no k >= 1",
+            ),
+        ],
+        ids=["path-without-order", "order-names-cluster-99", "matrix-without-k"],
+    )
+    def test_artifact_with_an_unusable_path_or_matrix_exits_2_as_corrupt(
+        self, tmp_path, field, edit, problem
+    ):
+        art = fixture_artifact(tmp_path)
+        with open(art) as fh:
+            data = json.load(fh)
+        edit(data[field])
+        with open(art, "w") as fh:
+            json.dump(data, fh)
+        for what in ("path", "matrix"):
+            result = CliRunner().invoke(main, ["inspect", art, "--what", what])
+            assert result.exit_code == 2
+            assert error_lines(result) == [f"error: corrupt artifact {art}: {problem}"]
+            assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestEvaluateCommand:

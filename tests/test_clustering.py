@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
+from oracles import oracle_kmeans
 from themepath import clustering, pipeline
-from themepath.chunking import ChunkerConfig
+from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.clustering import (
     _squared_distances,
     _squared_norms,
@@ -17,6 +18,7 @@ from themepath.clustering import (
     representatives,
 )
 from themepath.config import RunConfig
+from themepath.embeddings import EmbeddingProviderConfig, embed_batch
 from themepath.errors import InfeasibleError
 from themepath.pathfinding import DP_HARD_CAP
 
@@ -115,17 +117,38 @@ class TestDistinctCount:
             kmeans(np.array([[1.0], [1.0], [2.0], [2.0]]), 3, seed=0)
         assert rows == [3, 4]
 
-    def test_cluster_stage_sorts_the_matrix_once(self, monkeypatch):
-        rows = self.record_calls(monkeypatch, clustering)
-        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+    @staticmethod
+    def run_cluster_sum(document):
         cfg = RunConfig(chunker=ChunkerConfig(chunk_size=tokens_per_chunk(), overlap=0), k=3)
         cfg.embedding.kind = "deterministic-test"
         cfg.llm.kind = "mock-extractive"
-        document = make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"])
-        result = pipeline.run_pipeline(document, "cluster-sum", cfg)
-        n = len(result.chunks)
-        assert rows_in_pipeline == [n]
+        return pipeline.run_pipeline(document, "cluster-sum", cfg)
+
+    def test_cluster_stage_counts_a_k_row_prefix(self, monkeypatch):
+        rows = self.record_calls(monkeypatch, clustering)
+        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        self.run_cluster_sum(make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"]))
+        assert rows_in_pipeline == [3]
         assert rows == [3]
+
+    def test_repeated_leading_rows_count_all_rows_once_in_the_pipeline(self, monkeypatch):
+        rows = self.record_calls(monkeypatch, clustering)
+        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        first = make_topic_document(seed=9, topic_order=["delta"], chunks_per_topic=1)
+        rest = make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"])
+        result = self.run_cluster_sum(" ".join([first] * 3 + [rest]))
+        n = len(result.chunks)
+        assert n == 15 and len(set(result.labels)) == 3
+        assert rows_in_pipeline == [3, n]
+        assert rows == [3, n]  # kmeans's own feasibility check meets the same prefix
+
+    def test_cluster_stage_lowers_k_to_the_distinct_rows(self, monkeypatch):
+        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        first = make_topic_document(seed=9, topic_order=["delta"], chunks_per_topic=1)
+        second = make_topic_document(seed=8, topic_order=["alpha"], chunks_per_topic=1)
+        result = self.run_cluster_sum(" ".join([first, first, second, first]))
+        assert rows_in_pipeline == [3, 4]
+        assert sorted(set(result.labels)) == [0, 1]
 
 
 class TestSquaredDistances:
@@ -193,6 +216,68 @@ class TestSquaredDistances:
         assert result.inertia_history == oracle.inertia_history
 
 
+def assert_matches_oracle(vectors, k, seed, **kwargs):
+    """Labels, centroids and inertia keep the oracle's bits; the history its length.
+
+    The history's last entry, total minus between sum of squares, agrees
+    with the plain inertia to within 1e-12 of the total sum of squares.
+    """
+    result = kmeans(vectors, k, seed, **kwargs)
+    oracle = oracle_kmeans(vectors, k, seed, **kwargs)
+    assert result.labels.tobytes() == oracle.labels.tobytes()
+    assert result.centroids.tobytes() == oracle.centroids.tobytes()
+    assert result.inertia == oracle.inertia
+    assert len(result.inertia_history) == len(oracle.inertia_history)
+    total_ss = float(((vectors - vectors.mean(axis=0)) ** 2).sum())
+    assert abs(result.inertia_history[-1] - result.inertia) <= 1e-12 * max(1.0, total_ss)
+
+
+class TestKmeansOracle:
+    """``kmeans`` against the masked-mean k-means that recomputes inertia every step."""
+
+    @pytest.mark.parametrize("k", [2, 12, 22])
+    def test_topic_vectors_at_embedding_width(self, k):
+        for seed in range(20):
+            assert_matches_oracle(topic_vectors(seed, n=150), k, seed)
+
+    def test_deterministic_embedder_vectors_of_a_topic_document(self):
+        document = make_topic_document(
+            seed=5, topic_order=["alpha", "beta", "gamma", "delta"], chunks_per_topic=8
+        )
+        chunks = chunk_document(document, ChunkerConfig(chunk_size=tokens_per_chunk(), overlap=0))
+        embedder = EmbeddingProviderConfig(kind="deterministic-test")
+        vectors = embed_batch([c.text for c in chunks], embedder)
+        assert vectors.shape == (32, 64)
+        for seed in range(5):
+            assert_matches_oracle(vectors, 20, seed)
+
+    def test_duplicate_rows_with_k_equal_to_the_distinct_count(self):
+        grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] * 3)
+        rng = np.random.default_rng(12)
+        wide = np.repeat(topic_vectors(12, n=10), 3, axis=0)[rng.permutation(30)]
+        for seed in range(10):
+            assert_matches_oracle(grid, 4, seed)
+            assert_matches_oracle(wide, 10, seed)
+
+    def test_empty_cluster_reseed(self):
+        vectors = topic_vectors(4, n=60)
+        init = vectors[:5].copy()
+        init[4] = 10.0  # farther from every row than the other four: cluster 4 starts empty
+        first = _squared_distances(vectors, init, _squared_norms(vectors)).argmin(axis=1)
+        assert 4 not in first
+        assert_matches_oracle(vectors, 5, 0, init_centroids=init)
+
+    def test_init_centroids(self):
+        vectors = topic_vectors(6, n=200)
+        for seed in range(5):
+            init = kmeanspp_seed(vectors, 8, seed=seed + 100)
+            assert_matches_oracle(vectors, 8, seed, init_centroids=init)
+        # Far from the origin the history's total-minus-between still meets
+        # the plain inertia, because both sums are taken about the grand mean.
+        shifted = vectors + 1000.0
+        assert_matches_oracle(shifted, 8, 0, init_centroids=kmeanspp_seed(shifted, 8, seed=3))
+
+
 class TestKmeans:
     def test_two_identical_pairs_zero_inertia(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.0]])
@@ -245,6 +330,10 @@ class TestKmeans:
     def test_seed_recorded(self):
         result = kmeans(LINE_POINTS, 2, seed=77)
         assert result.seed == 77 and result.k == 2
+
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_iters must be >= 1$"):
+            kmeans(LINE_POINTS, 2, seed=0, max_iters=0)
 
 
 class TestRepresentatives:

@@ -331,6 +331,54 @@ class TestArtifact:
         with pytest.raises(ArtifactError):
             load_artifact(path)
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("transition_matrix", [[1.0]], "transition_matrix has no k >= 1"),
+            (
+                "transition_matrix",
+                {"k": 0, "probs": [], "zero_rows": []},
+                "transition_matrix has no k >= 1",
+            ),
+            (
+                "transition_matrix",
+                {"k": 1, "probs": [[0.0, 1.0]], "zero_rows": []},
+                "transition_matrix probs is not a 1 x 1 table of numbers",
+            ),
+            (
+                "transition_matrix",
+                {"k": 1, "probs": [["0"]], "zero_rows": []},
+                "transition_matrix probs is not a 1 x 1 table of numbers",
+            ),
+            (
+                "transition_matrix",
+                {"k": 1, "probs": [[0.0]], "zero_rows": [1]},
+                "transition_matrix zero_rows is not a list of rows in range(1)",
+            ),
+            ("path", [0], "path has no order"),
+            (
+                "path",
+                {"order": [True], "log_prob": 0.0, "method": "dp"},
+                "path order holds a non-integer",
+            ),
+            (
+                "path",
+                {"order": [0, 0], "log_prob": 0.0, "method": "dp"},
+                "path order [0, 0] is not a permutation of range(1)",
+            ),
+            ("path", {"order": [0], "log_prob": "-1", "method": "dp"}, "path has no log_prob"),
+            ("path", {"order": [0], "log_prob": 0.0}, "path has no method"),
+        ],
+    )
+    def test_unreadable_matrix_or_path_is_corrupt(self, tmp_path, field, value, problem):
+        path = str(tmp_path / "artifact.json")
+        data = sample_artifact().to_dict()
+        data[field] = value
+        write_atomic(path, json.dumps(data))
+        message = f"corrupt artifact {path}: {problem}"
+        with pytest.raises(ArtifactError, match=f"^{re.escape(message)}$"):
+            load_artifact(path)
+
     def test_timings_never_serialized(self):
         art = sample_artifact()
         art.timings = {"chunk": 0.5}
