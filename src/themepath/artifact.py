@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import MISSING, Field, dataclass, field, fields
 
 import numpy as np
@@ -96,10 +95,15 @@ def to_canonical_json(data: dict) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8 via a temp file in the same directory plus rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` as UTF-8 via a temp file in the same directory plus rename.
+
+    The file gets the mode ``open(path, "w")`` would give it: 0666 less
+    the umask.
+    """
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))

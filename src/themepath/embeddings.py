@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
-import math
 import os
 import threading
 import weakref
@@ -37,7 +36,7 @@ import numpy as np
 
 from .chunking import split_tokens
 from .errors import DegenerateInputError, ProtocolError
-from .transport import map_ordered, post_json
+from .transport import Remote, map_ordered, post_json
 
 log = logging.getLogger(__name__)
 
@@ -46,15 +45,10 @@ _TEST_HASH_SEED = b"themepath-det-v1:"
 
 
 @dataclass
-class EmbeddingProviderConfig:
+class EmbeddingProviderConfig(Remote):
     kind: str = "deterministic-test"  # or "remote"
-    endpoint: str = ""
     model_name: str = "nomic-embed-text-v1"
-    auth_token_env: str = ""
-    batch_size: int = 32
-    timeout: float = 30.0
-    max_retries: int = 3
-    parallelism: int = 4  # batches in flight at once
+    batch_size: int = 32  # texts per call; parallelism counts batches in flight
     cache_dir: str | None = None
     # Wire-format knobs for the remote contract.
     model_field: str = "model"
@@ -63,20 +57,13 @@ class EmbeddingProviderConfig:
     vector_field: str = "embedding"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ("deterministic-test", "remote"):
             raise ValueError(f"unknown embedding provider kind: {self.kind!r}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote embedding provider requires an endpoint")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if not math.isfinite(self.timeout):
-            raise ValueError(f"timeout must be finite, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -218,13 +205,7 @@ class EmbeddingCache:
 
 def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     payload = {cfg.model_field: cfg.model_name, cfg.input_field: texts}
-    data = post_json(
-        cfg.endpoint,
-        payload,
-        auth_token_env=cfg.auth_token_env,
-        timeout=cfg.timeout,
-        max_retries=cfg.max_retries,
-    )
+    data = post_json(cfg, payload)
     try:
         items = data[cfg.vectors_key]
     except (KeyError, TypeError):

@@ -104,16 +104,7 @@ def run_pipeline(
     reps = stages.run("representatives", lambda: representatives(assignment, vectors, cfg.top_k))
 
     labels = [int(x) for x in assignment.labels]
-    result.chunks = [
-        {
-            "index": c.index,
-            "text": c.text,
-            "token_count": c.token_count,
-            "byte_span": list(c.byte_span),
-            "token_span": list(c.token_span),
-        }
-        for c in chunks
-    ]
+    result.chunks = [asdict(c) for c in chunks]
     result.labels = labels
     result.centroids_digest = artifact_mod.centroids_digest(assignment.centroids)
     result.representatives = {str(c): ids for c, ids in sorted(reps.items())}

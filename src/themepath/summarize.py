@@ -28,7 +28,7 @@ from importlib import resources
 from .chunking import ChunkerConfig, chunk_document, count_tokens
 from .errors import ProtocolError
 from .evaluation import first_sentence
-from .transport import map_ordered, post_json
+from .transport import Remote, map_ordered, post_json
 
 PROMPT_VERSION = "v1"
 SECTION_DELIMITER = "\n\n"
@@ -37,15 +37,12 @@ _SYSTEM_PROMPT = "You are a careful assistant that summarizes book sections fait
 
 
 @dataclass
-class LlmProviderConfig:
+class LlmProviderConfig(Remote):
     kind: str = "mock-extractive"  # or "remote-chat"
-    endpoint: str = ""
     model_name: str = "gpt-4o-mini"
-    auth_token_env: str = ""
     temperature: float = 0.0
     max_output_tokens: int = 1024
     timeout: float = 60.0
-    max_retries: int = 3
     parallelism: int = 8  # cluster summaries or llm-full pieces in flight at once
     # llm-full baseline: documents beyond context_limit - context_margin
     # tokens are split, summarized piecewise, and stitched once.
@@ -53,6 +50,7 @@ class LlmProviderConfig:
     context_margin: int = 1024
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ("mock-extractive", "remote-chat"):
             raise ValueError(f"unknown llm provider kind: {self.kind!r}")
         if self.kind == "remote-chat" and not self.endpoint:
@@ -61,14 +59,6 @@ class LlmProviderConfig:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if not math.isfinite(self.timeout):
-            raise ValueError(f"timeout must be finite, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if self.context_margin < 0:
             raise ValueError(f"context_margin must be >= 0, got {self.context_margin}")
         if self.context_limit is not None and self.context_limit <= self.context_margin:
@@ -119,13 +109,7 @@ def _complete(template: str, texts: list[str], cfg: LlmProviderConfig) -> tuple[
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_output_tokens,
     }
-    data = post_json(
-        cfg.endpoint,
-        payload,
-        auth_token_env=cfg.auth_token_env,
-        timeout=cfg.timeout,
-        max_retries=cfg.max_retries,
-    )
+    data = post_json(cfg, payload)
     try:
         text = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):

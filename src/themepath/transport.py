@@ -1,17 +1,23 @@
 """HTTP plumbing shared by the embedding and chat providers.
 
-``post_json`` sends one request with retries; ``map_ordered`` runs
-independent calls (embedding batches, cluster summaries) concurrently on
-worker threads that live for the process.
+``Remote`` holds the settings every remote call is made under (endpoint,
+token variable, timeout, retries, calls in flight) and checks them once;
+both provider configs inherit it, so the settings mean the same under
+``embedding.`` and ``llm.``.  ``post_json(remote, payload)`` sends one
+request with retries; ``map_ordered`` runs independent calls (embedding
+batches, cluster summaries) concurrently on worker threads that live for
+the process.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from .errors import ProtocolError, TransportError
@@ -26,6 +32,31 @@ R = TypeVar("R")
 _sleep = time.sleep
 
 _RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
+
+# Seconds before the first retry; each later retry waits twice as long.
+_BACKOFF_BASE = 0.5
+
+
+@dataclass
+class Remote:
+    """Where and how one provider's calls are sent."""
+
+    endpoint: str = ""
+    auth_token_env: str = ""  # name of the variable holding the bearer token
+    timeout: float = 30.0
+    max_retries: int = 3
+    parallelism: int = 4  # calls in flight at once
+
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not math.isfinite(self.timeout):
+            raise ValueError(f"timeout must be finite, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+
 
 # One session per thread: requests.Session is not documented as thread-safe,
 # and each thread's session keeps its connections open for its next calls.
@@ -117,40 +148,34 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> l
     return [future.result() for future in futures]
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    auth_token_env: str = "",
-    timeout: float = 30.0,
-    max_retries: int = 3,
-    backoff_base: float = 0.5,
-) -> dict:
-    """POST a JSON payload and return the decoded JSON response.
+def post_json(remote: Remote, payload: dict) -> dict:
+    """POST a JSON payload to ``remote.endpoint``; return the decoded JSON response.
 
     Connection failures and retryable HTTP statuses are retried with
-    exponential backoff (max_retries additional attempts).  A request that
-    can never be sent (no scheme, an unknown scheme, a malformed host, a
-    payload holding NaN or infinity) raises TransportError on the first
-    attempt.  Anything that comes back 2xx but is not JSON raises
-    ProtocolError.  Requests go through the calling
+    exponential backoff (remote.max_retries additional attempts).  A
+    request that can never be sent (no scheme, an unknown scheme, a
+    malformed host, a payload holding NaN or infinity) raises
+    TransportError on the first attempt.  Anything that comes back 2xx but
+    is not JSON raises ProtocolError.  Requests go through the calling
     thread's session, so consecutive calls to one host reuse a kept-alive
-    connection.  When the environment variable named by auth_token_env
-    holds a token, it is sent as ``Authorization: Bearer <token>``; unset
-    or empty, no header is sent.
+    connection.  When the environment variable named by
+    remote.auth_token_env holds a token, it is sent as
+    ``Authorization: Bearer <token>``; unset or empty, no header is sent.
     """
     # Imported on first use: loading requests is a large share of the CLI's
     # start-up, and runs with offline providers never send a request.
     import requests
     from requests.exceptions import InvalidJSONError, InvalidSchema, InvalidURL, MissingSchema
 
-    token = os.environ.get(auth_token_env) if auth_token_env else None
+    url = remote.endpoint
+    token = os.environ.get(remote.auth_token_env) if remote.auth_token_env else None
     headers = {"Authorization": f"Bearer {token}"} if token else None
     last_error: Exception | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(remote.max_retries + 1):
         if attempt > 0:
-            _sleep(backoff_base * (2 ** (attempt - 1)))
+            _sleep(_BACKOFF_BASE * (2 ** (attempt - 1)))
         try:
-            resp = _session().post(url, json=payload, headers=headers, timeout=timeout)
+            resp = _session().post(url, json=payload, headers=headers, timeout=remote.timeout)
         except (MissingSchema, InvalidSchema, InvalidURL, InvalidJSONError) as exc:
             # A malformed URL or a payload that is not JSON (NaN, say) fails
             # the same way on every attempt.
@@ -167,4 +192,4 @@ def post_json(
             return resp.json()
         except ValueError as exc:
             raise ProtocolError(f"non-JSON response from {url}") from exc
-    raise TransportError(f"{url} unreachable after {max_retries + 1} attempts: {last_error}")
+    raise TransportError(f"{url} unreachable after {remote.max_retries + 1} attempts: {last_error}")

@@ -101,11 +101,15 @@ class TestConfigParsing:
             ("llm.parallelism = 0", "parallelism must be >= 1"),
             ("llm.parallelism = -3", "parallelism must be >= 1"),
             ("llm.max_retries = -1", "max_retries must be >= 0"),
+            ("llm.max_retries = -4", "max_retries must be >= 0"),
             ("embedding.parallelism = 0", "parallelism must be >= 1"),
+            ("embedding.parallelism = -3", "parallelism must be >= 1"),
             ("embedding.max_retries = -1", "max_retries must be >= 0"),
+            ("embedding.max_retries = -4", "max_retries must be >= 0"),
             ("k = 0", "k must be >= 1, got 0"),
             ("k = -2", "k must be >= 1, got -2"),
             ("embedding.timeout = 0", "timeout must be > 0, got 0.0"),
+            ("embedding.timeout = -1", "timeout must be > 0, got -1.0"),
             ("llm.timeout = 0", "timeout must be > 0, got 0.0"),
             ("llm.timeout = -1", "timeout must be > 0, got -1.0"),
             ("llm.timeout = nan", "timeout must be > 0, got nan"),
@@ -315,6 +319,23 @@ class TestArtifact:
         path = str(tmp_path / "artifact.json")
         save_artifact(sample_artifact(), path)
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+    def test_failed_write_leaves_neither_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(str(tmp_path / "summary.txt"), "lone surrogate \ud800")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_written_file_has_the_mode_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_atomic(str(tmp_path / "written.txt"), "x")
+            with open(tmp_path / "opened.txt", "w") as fh:
+                fh.write("x")
+        finally:
+            os.umask(previous)
+        modes = {os.stat(tmp_path / name).st_mode & 0o777 for name in ("written.txt", "opened.txt")}
+        assert modes == {0o666 & ~umask}
 
     def test_corrupt_artifact_rejected(self, tmp_path):
         path = str(tmp_path / "artifact.json")

@@ -13,7 +13,7 @@ import pytest
 import themepath.transport
 from themepath.embeddings import EmbeddingProviderConfig, embed_batch
 from themepath.errors import TransportError
-from themepath.transport import map_ordered, post_json
+from themepath.transport import Remote, map_ordered, post_json
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):
@@ -55,7 +55,7 @@ def keep_alive_server():
 
 def test_consecutive_posts_share_one_connection(keep_alive_server):
     server, url = keep_alive_server
-    replies = [post_json(url, {"n": n}) for n in range(3)]
+    replies = [post_json(Remote(url), {"n": n}) for n in range(3)]
     assert replies == [{"echo": {"n": n}} for n in range(3)]
     assert server.connections == 1
 
@@ -65,7 +65,7 @@ def test_each_thread_keeps_its_own_connection(keep_alive_server):
     replies = []
 
     def worker(n):
-        replies.extend(post_json(url, {"n": n, "call": call}) for call in range(2))
+        replies.extend(post_json(Remote(url), {"n": n, "call": call}) for call in range(2))
 
     threads = [threading.Thread(target=worker, args=(n,)) for n in range(2)]
     for thread in threads:
@@ -155,7 +155,7 @@ def test_unsendable_url_fails_on_the_first_attempt(url, monkeypatch):
     sleeps = []
     monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
     with pytest.raises(TransportError, match=f"^cannot send to {re.escape(repr(url))}: ") as info:
-        post_json(url, {"n": 1})
+        post_json(Remote(url), {"n": 1})
     assert sleeps == []
     assert "attempts" not in str(info.value)
 
@@ -166,9 +166,25 @@ def test_unsendable_payload_fails_on_the_first_attempt(value, monkeypatch):
     monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
     url = "http://127.0.0.1:9/v1/chat"
     with pytest.raises(TransportError, match=f"^cannot send to {re.escape(repr(url))}: ") as info:
-        post_json(url, {"temperature": value}, max_retries=3)
+        post_json(Remote(url, max_retries=3), {"temperature": value})
     assert sleeps == []
     assert "attempts" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"timeout": 0.0}, "timeout must be > 0, got 0.0"),
+        ({"timeout": -1.0}, "timeout must be > 0, got -1.0"),
+        ({"timeout": math.nan}, "timeout must be > 0, got nan"),
+        ({"timeout": math.inf}, "timeout must be finite, got inf"),
+        ({"max_retries": -1}, "max_retries must be >= 0"),
+        ({"parallelism": 0}, "parallelism must be >= 1"),
+    ],
+)
+def test_remote_rejects_out_of_range_settings(setting, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Remote("http://127.0.0.1:9/v1/embed", **setting)
 
 
 def test_cli_import_leaves_requests_unloaded():
