@@ -1,4 +1,7 @@
-"""The run artifact: one self-contained JSON document per pipeline run.
+"""The run artifact: one JSON document per pipeline run.
+
+It holds the run's decisions, not the document: each chunk is a byte span
+and a token span into it, and ``document_sha256`` identifies the document.
 
 The serialization is canonical (sorted keys, fixed separators, repr-exact
 floats, trailing newline) so identical runs produce byte-identical files
@@ -14,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +36,7 @@ class RunArtifact:
     seed: int
     config: dict
     final_summary: str
+    document_sha256: str | None = None  # absent from artifacts written before it was recorded
     chunks: list[dict] | None = None
     labels: list[int] | None = None
     centroids_digest: str | None = None
@@ -40,7 +44,6 @@ class RunArtifact:
     transition_matrix: dict | None = None
     path: dict | None = None
     cluster_summaries: list[dict] | None = None
-    eval_scores: dict | None = None
     notes: dict = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)  # sidecar only
 
@@ -57,7 +60,7 @@ class RunArtifact:
         for f in _saved_fields():
             if f.name in data:
                 kwargs[f.name] = data[f.name]
-            elif f.default_factory is MISSING:  # ``notes`` may be absent: it has a default
+            elif f.name not in ("notes", "document_sha256"):  # both may be absent: they have defaults
                 raise ArtifactError(f"artifact missing field {f.name!r}")
         return cls(**kwargs)
 

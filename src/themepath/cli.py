@@ -61,9 +61,9 @@ def main() -> None:
 
 
 def _read_text(path: str) -> str:
-    """The file at ``path`` decoded as UTF-8; ConfigError if it cannot be read."""
+    """The file at ``path`` decoded as UTF-8, line ends as written; ConfigError if it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc

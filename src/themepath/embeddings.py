@@ -6,10 +6,10 @@ Two providers share one contract ("texts in, one vector per text out"):
   hashing each distinct token once per call.  It is bit-stable across
   processes and platforms, which makes every downstream stage testable
   offline.
-* ``remote`` speaks a generic "model + inputs -> vectors" HTTP POST
-  contract with retry and exponential backoff; field names are
-  configurable so it can front any such API.  Each reply is decoded into
-  one (n, dim) float64 array; anything else is a ProtocolError.
+* ``remote`` speaks the OpenAI-compatible embeddings contract, with retry
+  and exponential backoff: it posts ``{"model": ..., "input": [texts]}``
+  and reads ``data[i].embedding``.  Each reply is decoded into one
+  (n, dim) float64 array; anything else is a ProtocolError.
 
 All vectors are L2-normalized before they leave this module, so Euclidean
 k-means downstream ranks pairs exactly like cosine similarity would.
@@ -50,11 +50,6 @@ class EmbeddingProviderConfig(Remote):
     model_name: str = "nomic-embed-text-v1"
     batch_size: int = 32  # texts per call; parallelism counts batches in flight
     cache_dir: str | None = None
-    # Wire-format knobs for the remote contract.
-    model_field: str = "model"
-    input_field: str = "input"
-    vectors_key: str = "data"
-    vector_field: str = "embedding"
 
     def __post_init__(self):
         super().__post_init__()
@@ -204,19 +199,15 @@ class EmbeddingCache:
 
 
 def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
-    payload = {cfg.model_field: cfg.model_name, cfg.input_field: texts}
-    data = post_json(cfg, payload)
+    data = post_json(cfg, {"model": cfg.model_name, "input": texts})
+    items = data.get("data") if isinstance(data, dict) else None
+    got = len(items) if isinstance(items, list) else type(items).__name__
+    if got != len(texts):
+        raise ProtocolError(f"expected 'data' to list {len(texts)} vectors, got {got}")
+    if not all(isinstance(item, dict) and "embedding" in item for item in items):
+        raise ProtocolError("response items are not objects with an 'embedding' field")
     try:
-        items = data[cfg.vectors_key]
-    except (KeyError, TypeError):
-        raise ProtocolError(f"response missing {cfg.vectors_key!r} field")
-    if not isinstance(items, list) or len(items) != len(texts):
-        raise ProtocolError(
-            f"expected {len(texts)} vectors, got {len(items) if isinstance(items, list) else type(items)}"
-        )
-    rows = [item.get(cfg.vector_field) if isinstance(item, dict) else item for item in items]
-    try:
-        vectors = np.array(rows, dtype=np.float64)
+        vectors = np.array([item["embedding"] for item in items], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"response vectors are not equal-length lists of numbers: {exc}") from exc
     if vectors.ndim != 2 or vectors.shape[1] == 0:

@@ -2,8 +2,9 @@
 
 ``markov-cluster`` is the full pipeline: chunk, embed, cluster, pick
 representatives, estimate the transition matrix from the chunk-order label
-sequence, solve the most probable Hamiltonian path over the clusters,
-summarize each cluster, and aggregate the summaries in path order.
+sequence, solve the most probable Hamiltonian path over the clusters (ties
+going to their order of first appearance), summarize each cluster, and
+aggregate the summaries in path order.
 ``cluster-sum`` is identical except the summaries are aggregated in first-
 appearance order of the clusters, with no sequence model.  ``llm-full``
 sends the whole document to the provider in one call (stitching it in
@@ -16,9 +17,12 @@ artifact is bit-identical across runs for a fixed seed.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import asdict
 from typing import Callable
+
+import numpy as np
 
 from . import artifact as artifact_mod
 from .chunking import chunk_document
@@ -26,8 +30,8 @@ from .clustering import choose_k, distinct_count, kmeans, representatives
 from .config import MODES, RunConfig
 from .embeddings import embed_batch
 from .errors import PipelineStageError
-from .markov import build_transition_matrix
-from .pathfinding import DP_HARD_CAP, solve_dp, solve_greedy
+from .markov import TransitionMatrix, build_transition_matrix
+from .pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
 from .summarize import aggregate_final, summarize_clusters, summarize_full_document
 
 Progress = Callable[[str], None] | None
@@ -55,12 +59,7 @@ class _Stages:
 
 
 def first_appearance_order(labels) -> list[int]:
-    seen: list[int] = []
-    for label in labels:
-        label = int(label)
-        if label not in seen:
-            seen.append(label)
-    return seen
+    return list(dict.fromkeys(int(label) for label in labels))
 
 
 def run_pipeline(
@@ -76,6 +75,7 @@ def run_pipeline(
     # The config snapshot records the mode that ran, also when it is not cfg.mode.
     config = cfg.snapshot() if mode == cfg.mode else {**cfg.snapshot(), "mode": mode}
     result = artifact_mod.RunArtifact(mode=mode, seed=cfg.seed, config=config, final_summary="")
+    result.document_sha256 = hashlib.sha256(document.encode("utf-8")).hexdigest()
 
     if mode == "llm-full":
         text, stitched = stages.run(
@@ -104,7 +104,7 @@ def run_pipeline(
     reps = stages.run("representatives", lambda: representatives(assignment, vectors, cfg.top_k))
 
     labels = [int(x) for x in assignment.labels]
-    result.chunks = [asdict(c) for c in chunks]
+    result.chunks = [{"byte_span": c.byte_span, "token_span": c.token_span} for c in chunks]
     result.labels = labels
     result.centroids_digest = artifact_mod.centroids_digest(assignment.centroids)
     result.representatives = {str(c): ids for c, ids in sorted(reps.items())}
@@ -119,17 +119,19 @@ def run_pipeline(
         )
 
         def path_stage():
-            if matrix.k <= DP_HARD_CAP:
-                return solve_dp(matrix)
-            return solve_greedy(matrix)
+            # The solvers break ties by lowest index. Numbered by first appearance, a tie
+            # (every path crossing a zero edge, say) goes to document order, not label order.
+            seen = first_appearance_order(labels)
+            zero_rows = frozenset(seen.index(c) for c in matrix.zero_rows)
+            path = (solve_dp if matrix.k <= DP_HARD_CAP else solve_greedy)(
+                TransitionMatrix(matrix.probs[np.ix_(seen, seen)], matrix.k, zero_rows)
+            )
+            order = [seen[i] for i in path.order]
+            log_prob = artifact_mod.encode_log_prob(path_probability(matrix, order))
+            return {"order": order, "log_prob": log_prob, "method": path.method}
 
-        path = stages.run("path", path_stage)
-        result.path = {
-            "order": path.order,
-            "log_prob": artifact_mod.encode_log_prob(path.log_prob),
-            "method": path.method,
-        }
-        summary_order = path.order
+        result.path = stages.run("path", path_stage)
+        summary_order = result.path["order"]
     else:
         summary_order = first_appearance_order(labels)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from conftest import make_topic_document, tokens_per_chunk
 import themepath
 from themepath.artifact import RunArtifact, matrix_to_dict, save_artifact
+from themepath.chunking import split_tokens
 from themepath.cli import main
 from themepath.config import RunConfig
 from themepath.markov import build_transition_matrix
@@ -107,6 +109,27 @@ class TestSummarizeCommand:
         assert b"key=${SECRET_K}" in artifact_bytes
         for written in out_dir.iterdir():
             assert secret.encode() not in written.read_bytes(), written.name
+
+    def test_spans_and_digest_index_the_file_as_written(self, tmp_path):
+        """CRLF line ends stay in the text, so each byte span re-cuts its chunk from the file."""
+        lines = make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"]).split(". ")
+        file_bytes = ".\r\n".join(lines).encode("utf-8")
+        doc_path = tmp_path / "crlf.txt"
+        doc_path.write_bytes(file_bytes)
+        config = tmp_path / "run.cfg"
+        write_config(config, chunk_size=tokens_per_chunk(), overlap=5, extra=["k = 3"])
+        out_dir = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["summarize", str(doc_path), "--config", str(config), "--out-dir", str(out_dir)]
+        )
+        assert result.exit_code == 0, result.output
+        artifact = json.loads((out_dir / "artifact.json").read_text())
+        tokens = split_tokens(file_bytes.decode("utf-8"))
+        assert len(artifact["chunks"]) > 1
+        for chunk in artifact["chunks"]:
+            (a, b), (start, end) = chunk["byte_span"], chunk["token_span"]
+            assert split_tokens(file_bytes[a:b].decode("utf-8")) == tokens[start:end]
+        assert artifact["document_sha256"] == hashlib.sha256(file_bytes).hexdigest()
 
     def test_cluster_sum_artifact_has_no_path(self, tmp_path):
         runner = CliRunner()

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import re
 
 import pytest
+from click.testing import CliRunner
 
 from themepath.artifact import (
     RunArtifact,
@@ -14,6 +16,7 @@ from themepath.artifact import (
     to_canonical_json,
     write_atomic,
 )
+from themepath.cli import main
 from themepath.config import RunConfig, config_from_mapping, load_config, parse_config_text
 from themepath.errors import ConfigError
 
@@ -199,10 +202,6 @@ ALL_KEYS = {
     "embedding.max_retries": ("2", 2),
     "embedding.parallelism": ("3", 3),
     "embedding.cache_dir": ("/c", "/c"),
-    "embedding.model_field": ("mf", "mf"),
-    "embedding.input_field": ("inp", "inp"),
-    "embedding.vectors_key": ("vk", "vk"),
-    "embedding.vector_field": ("vf", "vf"),
     "llm.kind": ("remote-chat", "remote-chat"),
     "llm.endpoint": ("http://l/v1", "http://l/v1"),
     "llm.model_name": ("m-l", "m-l"),
@@ -232,7 +231,7 @@ def _setting(cfg: RunConfig, key: str):
 
 class TestConfigKeys:
     def test_every_key_parses_to_its_field_type(self):
-        assert len(ALL_KEYS) == 32
+        assert len(ALL_KEYS) == 28
         cfg = config_from_mapping({key: raw for key, (raw, _) in ALL_KEYS.items()})
         for key, (_, expected) in ALL_KEYS.items():
             value = _setting(cfg, key)
@@ -250,7 +249,20 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize(
         "key",
-        ["chunker", "embedding", "llm", "env_templates", "chunker.chunk_size", "llm.k", "embedding.seed"],
+        [
+            "chunker",
+            "embedding",
+            "llm",
+            "env_templates",
+            "chunker.chunk_size",
+            "llm.k",
+            "embedding.seed",
+            # The embedding wire contract is fixed in code: these were keys once.
+            "embedding.model_field",
+            "embedding.input_field",
+            "embedding.vectors_key",
+            "embedding.vector_field",
+        ],
     )
     def test_keys_outside_the_schema_rejected(self, key):
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key: {key!r}")):
@@ -275,7 +287,8 @@ def sample_artifact() -> RunArtifact:
         seed=3,
         config=RunConfig().snapshot(),
         final_summary="A summary.",
-        chunks=[{"index": 0, "text": "A", "token_count": 1, "byte_span": [0, 1], "token_span": [0, 1]}],
+        document_sha256=hashlib.sha256(b"A").hexdigest(),
+        chunks=[{"byte_span": [0, 1], "token_span": [0, 1]}],
         labels=[0],
         centroids_digest="ab" * 32,
         representatives={"0": [0]},
@@ -415,3 +428,18 @@ class TestArtifact:
         data = sample_artifact().to_dict()
         del data["notes"]
         assert RunArtifact.from_dict(data).notes == {}
+
+    def test_artifact_in_the_earlier_format_loads_and_inspects(self, tmp_path):
+        """Chunk records with their text, an ``eval_scores`` key, and no document digest."""
+        data = sample_artifact().to_dict()
+        del data["document_sha256"]
+        data["chunks"] = [{"index": 0, "text": "A", "token_count": 1, "byte_span": [0, 1], "token_span": [0, 1]}]
+        data["eval_scores"] = None
+        path = str(tmp_path / "artifact.json")
+        write_atomic(path, to_canonical_json(data))
+        loaded = load_artifact(path)
+        assert loaded.document_sha256 is None
+        assert loaded.chunks == data["chunks"]
+        result = CliRunner().invoke(main, ["inspect", path, "--what", "path"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "0, p = 1"

@@ -323,14 +323,11 @@ class TestRemoteProvider:
     def test_canned_vectors_in_order(self, stub_server, no_sleep):
         canned = [[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]
         server, url = stub_server([(200, _embedding_payload(canned))])
-        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, model_name="e5-test")
         out = embed_batch(["a", "b", "c"], cfg)
         expected = np.stack([normalize(np.array(v)) for v in canned])
         assert np.allclose(out, expected, atol=1e-12)
-        assert server.requests[0]["body"] == {
-            "model": "nomic-embed-text-v1",
-            "input": ["a", "b", "c"],
-        }
+        assert server.requests[0]["body"] == {"model": "e5-test", "input": ["a", "b", "c"]}
 
     def test_retry_then_success(self, stub_server, no_sleep):
         server, url = stub_server([(503, {}), (200, _embedding_payload([[1.0, 1.0]]))])
@@ -364,17 +361,28 @@ class TestRemoteProvider:
     @pytest.mark.parametrize(
         "items",
         [
-            [[[1.0, 2.0], [3.0, 4.0]]],
-            [[[1.0, 2.0], [3.0]]],
-            [[1.0, [2.0]]],
-            [["0.5", "x"]],
-            [[]],
-            [[1.0, 0.0], [1.0, 0.0, 0.0]],
+            [{"embedding": [[1.0, 2.0], [3.0, 4.0]]}],
+            [{"embedding": [[1.0, 2.0], [3.0]]}],
+            [{"embedding": [1.0, [2.0]]}],
+            [{"embedding": ["0.5", "x"]}],
+            [{"embedding": []}],
+            [{"embedding": [1.0, 0.0]}, {"embedding": [1.0, 0.0, 0.0]}],
+            [[1.0, 0.0]],
+            [{"vector": [1.0, 0.0]}],
         ],
-        ids=["nested", "ragged-nested", "ragged-mixed", "strings", "empty", "ragged-batch"],
+        ids=[
+            "nested",
+            "ragged-nested",
+            "ragged-mixed",
+            "strings",
+            "empty",
+            "ragged-batch",
+            "bare-list",
+            "no-embedding-field",
+        ],
     )
     def test_malformed_vectors_are_protocol_errors(self, stub_server, no_sleep, items):
-        server, url = stub_server([(200, {"data": [{"embedding": v} for v in items]})])
+        server, url = stub_server([(200, {"data": items})])
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)
         with pytest.raises(ProtocolError):
             embed_batch([f"t{i}" for i in range(len(items))], cfg)

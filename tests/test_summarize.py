@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 
@@ -284,13 +285,30 @@ class TestRunPipeline:
         data = greedy.transition_matrix
         assert (data["k"], greedy.path["method"]) == (DP_HARD_CAP + 1, "greedy")
         matrix = TransitionMatrix(np.array(data["probs"]), data["k"], frozenset(data["zero_rows"]))
-        assert greedy.path["order"] == solve_greedy(matrix).order
+        # The pipeline solves with the clusters numbered by first appearance, then maps back.
+        seen = first_appearance_order(greedy.labels)
+        permuted = TransitionMatrix(matrix.probs[np.ix_(seen, seen)], matrix.k, frozenset())
+        assert greedy.path["order"] == [seen[i] for i in solve_greedy(permuted).order]
 
         # At the cap the pipeline calls solve_dp; a stand-in spares the 2^22-cell table.
         solved = []
         monkeypatch.setattr(pipeline, "solve_dp", lambda m: solved.append(m.k) or solve_greedy(m))
         run_pipeline(document, "markov-cluster", pipeline_config(seed=6, k=DP_HARD_CAP))
         assert solved == [DP_HARD_CAP]
+
+    def test_order_without_a_positive_path_is_first_appearance(self, monkeypatch):
+        """When every order crosses a zero edge, the tie goes to document order, not label order."""
+        # A hub (3) between three excursions (1, 0, 2): every path puts two excursions side by side.
+        labels = [3, 3, 1, 1, 3, 3, 0, 0, 3, 3, 2, 2, 3, 3]
+        document = make_topic_document(seed=4, topic_order=["alpha", "beta"], chunks_per_topic=7)
+        kmeans = pipeline.kmeans
+        monkeypatch.setattr(
+            pipeline, "kmeans", lambda *args: dataclasses.replace(kmeans(*args), labels=np.array(labels))
+        )
+        result = run_pipeline(document, "markov-cluster", pipeline_config(seed=4, k=4))
+        assert result.labels == labels
+        assert decode_log_prob(result.path["log_prob"]) == float("-inf")
+        assert result.path["order"] == first_appearance_order(labels) == [3, 1, 0, 2]
 
     @pytest.mark.parametrize("mode", ["cluster-sum", "llm-full"])
     def test_artifact_config_records_the_mode_that_ran(self, mode):

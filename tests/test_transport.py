@@ -79,7 +79,7 @@ def test_each_thread_keeps_its_own_connection(keep_alive_server):
 
 def test_successive_embed_calls_reuse_the_workers_connections(keep_alive_server):
     server, url = keep_alive_server
-    server.reply = lambda body: {"data": [[1.0, float(len(t))] for t in body["input"]]}
+    server.reply = lambda body: {"data": [{"embedding": [1.0, float(len(t))]} for t in body["input"]]}
     cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, batch_size=1, parallelism=4)
     for call in range(2):
         texts = [f"call {call} text {'x' * i}" for i in range(6)]
