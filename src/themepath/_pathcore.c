@@ -1,9 +1,11 @@
 /* Compiled bitmask-DP kernel for the most probable Hamiltonian path.
  * Plain CPython API: every array arrives through the buffer protocol.
- * Same contract and bit-identical output as _pathpure.fill_successors. */
+ * Same contracts and bit-identical output as _pathpure.fill_reach and
+ * _pathpure.fill_successors. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 
 #define MAX_K 22
 
@@ -72,25 +74,96 @@ fill(Py_ssize_t k, const double *logw, signed char *succ, double *final, double 
     }
 }
 
+/* reach[S] for every subset S: bit i is set iff some path over S that starts
+ * at i has only positive-probability edges.  reach[{i}] = {i}, and for larger
+ * S bit i is set iff reach[S\{i}] meets pos[i], the nodes j with
+ * logw[j, i] > -inf.  Every S\{i} precedes S in increasing mask order. */
+static void
+reach_table(Py_ssize_t k, const double *logw, uint32_t *reach)
+{
+    uint32_t pos[MAX_K] = {0};
+    for (Py_ssize_t j = 0; j < k; j++) {
+        for (Py_ssize_t i = 0; i < k; i++) {
+            if (logw[j * k + i] > -INFINITY) {
+                pos[i] |= (uint32_t)1 << j;
+            }
+        }
+    }
+    reach[0] = 0;
+    for (uint32_t mask = 1; mask < (uint32_t)1 << k; mask++) {
+        uint32_t bits = 0;
+        if ((mask & (mask - 1)) == 0) {
+            bits = mask;
+        }
+        else {
+            for (uint32_t m = mask; m; m &= m - 1) {
+                const int i = __builtin_ctz(m);
+                if (reach[mask ^ ((uint32_t)1 << i)] & pos[i]) {
+                    bits |= (uint32_t)1 << i;
+                }
+            }
+        }
+        reach[mask] = bits;
+    }
+}
+
+/* k of a k x k float64 weight buffer of len bytes, or 0 if there is none. */
+static Py_ssize_t
+square_side(Py_ssize_t len)
+{
+    Py_ssize_t k = 0;
+    while ((k + 1) * (k + 1) * (Py_ssize_t)sizeof(double) <= len) {
+        k++;
+    }
+    return k >= 1 && k * k * (Py_ssize_t)sizeof(double) == len ? k : 0;
+}
+
+static PyObject *
+fill_reach(PyObject *self, PyObject *args)
+{
+    Py_buffer w, reach;
+    int done = 0;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "y*w*", &w, &reach)) {
+        return NULL;
+    }
+    const Py_ssize_t k = square_side(w.len);
+    if (k > MAX_K) {
+        PyErr_Format(PyExc_ValueError, "k=%zd exceeds the kernel's cap of %d", k, MAX_K);
+    }
+    else if (k == 0 || reach.len != ((Py_ssize_t)sizeof(uint32_t) << k)) {
+        PyErr_Format(PyExc_ValueError, "buffers of %zd and %zd bytes do not fit k x k weights "
+                     "and 2^k uint32 masks for any 1 <= k <= %d", w.len, reach.len, MAX_K);
+    }
+    else {
+        Py_BEGIN_ALLOW_THREADS
+        reach_table(k, w.buf, reach.buf);
+        Py_END_ALLOW_THREADS
+        done = 1;
+    }
+    PyBuffer_Release(&w);
+    PyBuffer_Release(&reach);
+    if (!done) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
 static PyObject *
 fill_successors(PyObject *self, PyObject *args)
 {
     Py_buffer w, succ, final;
-    Py_ssize_t k = 0;
     double *layers = NULL;
     (void)self;
     if (!PyArg_ParseTuple(args, "y*w*w*", &w, &succ, &final)) {
         return NULL;
     }
     /* k from the k x k weights; the other two lengths must match it exactly. */
-    while ((k + 1) * (k + 1) * (Py_ssize_t)sizeof(double) <= w.len) {
-        k++;
-    }
-    const int square = k >= 1 && k * k * (Py_ssize_t)sizeof(double) == w.len;
-    if (square && k > MAX_K) {
+    const Py_ssize_t k = square_side(w.len);
+    if (k > MAX_K) {
         PyErr_Format(PyExc_ValueError, "k=%zd exceeds the kernel's cap of %d", k, MAX_K);
     }
-    else if (!square || succ.len != (k << k) || final.len != k * (Py_ssize_t)sizeof(double)) {
+    else if (k == 0 || succ.len != (k << k) || final.len != k * (Py_ssize_t)sizeof(double)) {
         PyErr_Format(PyExc_ValueError, "buffers of %zd, %zd and %zd bytes do not fit k x k "
                      "weights, a 2^k x k int8 table and k float64 values for any 1 <= k <= %d",
                      w.len, succ.len, final.len, MAX_K);
@@ -123,6 +196,9 @@ fill_successors(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
+    {"fill_reach", fill_reach, METH_VARARGS,
+     "fill_reach(logw, reach): for every subset S, the mask of the nodes that start a "
+     "positive-probability path over S."},
     {"fill_successors", fill_successors, METH_VARARGS,
      "fill_successors(logw, succ, final): successor of every cell of cardinality >= 2 "
      "of the start-at table, and its full-set row."},

@@ -94,15 +94,16 @@ def _seed_centroids(
     return centroids
 
 
-def _check_feasible(vectors: np.ndarray, k: int) -> None:
+def _check_feasible(vectors: np.ndarray, k: int, n_distinct: int | None = None) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # k distinct rows among the first k settle it without sorting all n rows.
-    if distinct_count(vectors[:k]) == k:
-        return
-    available = distinct_count(vectors)
-    if k > available:
-        raise InfeasibleError(f"k={k} exceeds the {available} distinct vectors available")
+    if n_distinct is None:
+        # k distinct rows among the first k settle it without sorting all n rows.
+        if distinct_count(vectors[:k]) == k:
+            return
+        n_distinct = distinct_count(vectors)
+    if k > n_distinct:
+        raise InfeasibleError(f"k={k} exceeds the {n_distinct} distinct vectors available")
 
 
 def kmeanspp_seed(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -124,15 +125,18 @@ def kmeans(
     tol: float = 1e-6,
     init_centroids: np.ndarray | None = None,
     n_init: int = 10,
+    n_distinct: int | None = None,
 ) -> ClusterAssignment:
     """Best of n_init seeded k-means++ starts, each refined by Lloyd iterations.
 
     All starts draw from one generator seeded with ``seed``, so the result is
     deterministic; the lowest-inertia run wins (earlier run kept on ties).
     Passing init_centroids runs Lloyd once from exactly those centroids.
+    A caller that has counted the distinct rows passes the count as
+    ``n_distinct``, and the feasibility check counts none itself.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    _check_feasible(vectors, k)
+    _check_feasible(vectors, k, n_distinct)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     norms = _squared_norms(vectors)

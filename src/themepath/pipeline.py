@@ -95,10 +95,13 @@ def run_pipeline(
 
     def cluster_stage():
         k = choose_k(len(chunks), cfg.k)
-        # k distinct rows among the first k need no count of all n rows.
+        n_distinct = None
+        # k distinct rows among the first k need no count of all n rows; a count
+        # made here spares kmeans its own.
         if distinct_count(vectors[:k]) < k:
-            k = min(k, distinct_count(vectors))
-        return kmeans(vectors, k, cfg.seed)
+            n_distinct = distinct_count(vectors)
+            k = min(k, n_distinct)
+        return kmeans(vectors, k, cfg.seed, n_distinct=n_distinct)
 
     assignment = stages.run("cluster", cluster_stage)
     reps = stages.run("representatives", lambda: representatives(assignment, vectors, cfg.top_k))

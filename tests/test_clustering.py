@@ -117,6 +117,17 @@ class TestDistinctCount:
             kmeans(np.array([[1.0], [1.0], [2.0], [2.0]]), 3, seed=0)
         assert rows == [3, 4]
 
+    def test_a_given_count_replaces_the_feasibility_count(self, monkeypatch):
+        points = np.array([[0.0], [0.0], [0.0], [1.0], [2.0]])
+        expected = kmeans(points, 3, seed=0)
+        rows = self.record_calls(monkeypatch, clustering)
+        given = kmeans(points, 3, seed=0, n_distinct=3)
+        assert np.array_equal(given.labels, expected.labels)
+        assert given.centroids.tobytes() == expected.centroids.tobytes()
+        with pytest.raises(InfeasibleError, match=r"^k=3 exceeds the 2 distinct vectors available$"):
+            kmeans(points[:4], 3, seed=0, n_distinct=2)
+        assert rows == []
+
     @staticmethod
     def run_cluster_sum(document):
         cfg = RunConfig(chunker=ChunkerConfig(chunk_size=tokens_per_chunk(), overlap=0), k=3)
@@ -140,7 +151,7 @@ class TestDistinctCount:
         n = len(result.chunks)
         assert n == 15 and len(set(result.labels)) == 3
         assert rows_in_pipeline == [3, n]
-        assert rows == [3, n]  # kmeans's own feasibility check meets the same prefix
+        assert rows == []  # kmeans takes the pipeline's count instead of making its own
 
     def test_cluster_stage_lowers_k_to_the_distinct_rows(self, monkeypatch):
         rows_in_pipeline = self.record_calls(monkeypatch, pipeline)

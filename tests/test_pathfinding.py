@@ -50,8 +50,23 @@ def successors(matrix: TransitionMatrix, backend: str) -> tuple[np.ndarray, np.n
     k = matrix.k
     succ = np.full((1 << k, k), -1, dtype=np.int8)
     final = np.full(k, np.nan)
-    pathfinding._kernel(backend)(np.ascontiguousarray(log_weights(matrix).T), succ, final)
+    pathfinding._kernel(backend).fill_successors(np.ascontiguousarray(log_weights(matrix).T), succ, final)
     return succ, final
+
+
+def reach_masks(matrix: TransitionMatrix, backend: str) -> np.ndarray:
+    """One kernel's reach masks for the matrix, from a buffer of all-ones words."""
+    reach = np.full(1 << matrix.k, 0xFFFFFFFF, dtype=np.uint32)
+    pathfinding._kernel(backend).fill_reach(np.ascontiguousarray(log_weights(matrix).T), reach)
+    return reach
+
+
+def hub_matrix(k: int) -> TransitionMatrix:
+    """Node 0 linked both ways to every other node, and nothing else."""
+    probs = np.zeros((k, k))
+    probs[0, 1:] = 1.0 / (k - 1)
+    probs[1:, 0] = 1.0
+    return TransitionMatrix(probs=probs, k=k, zero_rows=frozenset())
 
 
 def table_oracle(matrix: TransitionMatrix) -> np.ndarray:
@@ -86,6 +101,20 @@ class TestSolveDp:
         path = solve_dp(matrix)
         assert path.order == [0, 1, 2, 3]
         assert path.log_prob == -math.inf
+
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    def test_no_positive_path_walks_the_first_reachable_suffix(self, request, backend):
+        # Only 1 -> 3 -> 2 is positive and node 0 touches no edge: no positive path
+        # covers every node, and the walk leaves the identity once the suffix
+        # {1, 2, 3} has a positive path that starts at its first node.
+        if backend == "compiled":
+            request.getfixturevalue("compiled")
+        probs = np.zeros((4, 4))
+        probs[1, 3] = probs[3, 2] = 1.0
+        matrix = TransitionMatrix(probs, 4, frozenset({0, 2}))
+        path = solve_dp(matrix, backend=backend)
+        assert (path.order, path.log_prob, path.method) == ([0, 1, 3, 2], -math.inf, "dp")
+        assert (path.order, path.log_prob) == (oracle_solve_dp(matrix).order, -math.inf)
 
     def test_cap_exceeded_points_to_greedy(self):
         matrix = random_matrix(DP_HARD_CAP + 1, seed=0)
@@ -213,6 +242,21 @@ class TestOracleEquivalence:
                 new = solve_dp(matrix, backend=backend)
                 assert (new.order, new.log_prob) == (old.order, old.log_prob)
 
+    def test_no_path_matrices_vary_the_suffix_and_leave_the_identity(self):
+        """The no-path inputs above reach many suffix starts, and often a non-identity order."""
+        prefixes = set()
+        non_identity = 0
+        for seed in range(80):
+            k = 1 + seed % 10
+            for matrix in no_path_matrices(k, seed):
+                path = oracle_solve_dp(matrix)
+                assert path.log_prob == -math.inf
+                non_identity += path.order != list(range(k))
+                logw = np.ascontiguousarray(log_weights(matrix).T)
+                prefixes.add(pathfinding._unreachable_prefix(pathfinding._pathpure, logw))
+        assert prefixes == set(range(1, 10))
+        assert non_identity >= 20
+
     def test_row_rescaling_then_renormalizing_keeps_argmax(self):
         for seed in range(20):
             matrix = random_matrix(6, seed=seed)
@@ -281,18 +325,39 @@ def sparse_matrix(k: int, seed: int) -> TransitionMatrix:
     return TransitionMatrix(probs=probs, k=k, zero_rows=zero_rows)
 
 
-def special_matrices(k: int, seed: int) -> list[TransitionMatrix]:
-    """Random, sparse, all-zero, tied (a few equal probabilities) and uniform rows."""
+def tied_matrix(weights: np.ndarray) -> TransitionMatrix:
+    """Rows of small integer weights, normalized: equal weights give tied probabilities."""
+    k = weights.shape[0]
+    sums = weights.sum(axis=1, keepdims=True)
+    probs = np.divide(weights, sums, out=np.zeros_like(weights), where=sums > 0)
+    return TransitionMatrix(probs, k, frozenset(int(i) for i in np.flatnonzero(sums[:, 0] == 0)))
+
+
+def no_path_matrices(k: int, seed: int) -> list[TransitionMatrix]:
+    """Sparse tied matrices that no positive-probability path covers: two nodes
+    without a positive out-edge, or two without a positive in-edge (none for k = 1)."""
+    if k < 2:
+        return []
     rng = np.random.default_rng(seed)
-    tied = rng.integers(0, 3, size=(k, k)).astype(np.float64)
-    sums = tied.sum(axis=1, keepdims=True)
-    tied = np.divide(tied, sums, out=np.zeros_like(tied), where=sums > 0)
+    out = []
+    for transpose in (False, True):
+        weights = rng.integers(1, 3, size=(k, k)) * (rng.random((k, k)) < 0.5)
+        weights[rng.choice(k, size=2, replace=False)] = 0
+        out.append(tied_matrix((weights.T if transpose else weights).astype(np.float64)))
+    return out
+
+
+def special_matrices(k: int, seed: int) -> list[TransitionMatrix]:
+    """Random, sparse, all-zero, tied (a few equal probabilities), uniform, and
+    sparse tied rows with no positive path."""
+    rng = np.random.default_rng(seed)
     return [
         random_matrix(k, seed),
         sparse_matrix(k, seed),
         TransitionMatrix(np.zeros((k, k)), k, frozenset(range(k))),
-        TransitionMatrix(tied, k, frozenset(int(i) for i in np.flatnonzero(sums[:, 0] == 0))),
+        tied_matrix(rng.integers(0, 3, size=(k, k)).astype(np.float64)),
         TransitionMatrix(np.full((k, k), 1.0 / k), k, frozenset()),
+        *no_path_matrices(k, seed),
     ]
 
 
@@ -376,6 +441,82 @@ class TestCompiledKernel:
             with pytest.raises(ValueError, match=r"^k=23 exceeds the kernel's cap of 22$"):
                 fill(np.zeros((23, 23)), succ, final)
             assert not succ.any() and not final.any()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_reach_bytes_equal_pure_kernel(self, compiled, k):
+        """The reach masks, byte for byte, and bit i of reach[S] set iff g[S, i] > -inf."""
+        matrices = [random_matrix(k, seed=k), sparse_matrix(k, seed=k), *no_path_matrices(k, seed=k)]
+        if k > 1:
+            matrices.append(hub_matrix(k))
+        for matrix in matrices:
+            reach = reach_masks(matrix, "compiled")
+            assert reach.tobytes() == reach_masks(matrix, "pure").tobytes()
+            start_at = oracle_dp_table(np.ascontiguousarray(log_weights(matrix).T))
+            bits = (reach[:, None] >> np.arange(k, dtype=np.uint32)) & 1
+            assert reach[0] == 0
+            assert np.array_equal(bits[1:] == 1, start_at[1:] > -np.inf)
+
+    @pytest.mark.parametrize(
+        "logw, reach",
+        [
+            (np.zeros(15), np.zeros(8, np.uint32)),  # weights not k x k
+            (np.zeros((3, 3)), np.zeros(4, np.uint32)),  # too few masks
+            (np.zeros((3, 3)), np.zeros(16, np.uint32)),  # too many masks
+            (np.zeros((3, 3)), np.zeros(8, np.uint16)),  # masks too narrow
+            (np.zeros(0), np.zeros(0, np.uint32)),  # k = 0
+        ],
+    )
+    def test_wrong_sized_reach_buffers_raise(self, built_pathcore, logw, reach):
+        for fill_reach in (built_pathcore.fill_reach, pathfinding._pathpure.fill_reach):
+            with pytest.raises(ValueError, match="do not fit|does not hold|not k x k"):
+                fill_reach(logw, reach)
+            assert not reach.any()
+
+    def test_both_kernels_refuse_reach_beyond_the_hard_cap(self, built_pathcore):
+        for fill_reach in (built_pathcore.fill_reach, pathfinding._pathpure.fill_reach):
+            logw, reach = np.zeros((23, 23)), np.zeros(1, np.uint32)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"^k=23 exceeds the kernel's cap of 22$"):
+                    fill_reach(logw, reach)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000  # raised before any table was allocated
+            assert not reach.any()
+
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    def test_hub_solve_fills_only_the_suffix(self, request, monkeypatch, backend):
+        """No positive path covers a k = 20 hub; only {19} starts one over its suffix."""
+        if backend == "compiled":
+            request.getfixturevalue("compiled")
+        kernel = pathfinding._kernel(backend)
+        fill = kernel.fill_successors
+        shapes = []
+
+        def recording(logw, succ, final):
+            shapes.append((logw.shape, succ.shape, final.shape))
+            fill(logw, succ, final)
+
+        monkeypatch.setattr(kernel, "fill_successors", recording)
+        path = solve_dp(hub_matrix(20), backend=backend)
+        assert shapes == [((1, 1), (2, 1), (1,))]
+        assert (path.order, path.log_prob) == (list(range(20)), -math.inf)
+
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    def test_hub_solve_peak_memory_at_k18(self, request, backend):
+        """A solve with no positive path stays below the successor table of a full fill."""
+        if backend == "compiled":
+            request.getfixturevalue("compiled")
+        k = 18
+        matrix = hub_matrix(k)
+        tracemalloc.start()
+        try:
+            solve_dp(matrix, backend=backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << k) * k
 
     @pytest.mark.parametrize("backend, bound", [("compiled", 0.6), ("pure", 1.0)])
     def test_solve_peak_memory_at_k18(self, request, backend, bound):

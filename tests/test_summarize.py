@@ -303,7 +303,9 @@ class TestRunPipeline:
         document = make_topic_document(seed=4, topic_order=["alpha", "beta"], chunks_per_topic=7)
         kmeans = pipeline.kmeans
         monkeypatch.setattr(
-            pipeline, "kmeans", lambda *args: dataclasses.replace(kmeans(*args), labels=np.array(labels))
+            pipeline,
+            "kmeans",
+            lambda *args, **kwargs: dataclasses.replace(kmeans(*args, **kwargs), labels=np.array(labels)),
         )
         result = run_pipeline(document, "markov-cluster", pipeline_config(seed=4, k=4))
         assert result.labels == labels
