@@ -132,7 +132,7 @@ def load_artifact(path: str) -> RunArtifact:
     if not isinstance(data, dict):
         raise ArtifactError(f"corrupt artifact {path}: not an object")
     artifact = RunArtifact.from_dict(data)
-    problem = _path_and_matrix_problem(artifact)
+    problem = _content_problem(artifact)
     if problem is not None:
         raise ArtifactError(f"corrupt artifact {path}: {problem}")
     return artifact
@@ -146,12 +146,26 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
-def _path_and_matrix_problem(artifact: RunArtifact) -> str | None:
-    """What makes the transition matrix or path unreadable, or None if both can be read.
+def _content_problem(artifact: RunArtifact) -> str | None:
+    """What makes the clustering, matrix or path unreadable, or None if all can be read.
 
-    The matrix must be k x k numbers with zero rows in range(k); the path's
-    order a permutation of range(k), its log_prob a number or "-inf".
+    Labels must be a list of integers, and representatives a map from decimal
+    cluster ids to lists of integers.  The matrix must be k x k numbers with
+    zero rows in range(k); the path's order a permutation of range(k), its
+    log_prob a number or "-inf".
     """
+    labels = artifact.labels
+    if labels is not None and not (isinstance(labels, list) and all(map(_is_int, labels))):
+        return "labels is not a list of integers"
+    reps = artifact.representatives
+    if reps is not None and not (
+        isinstance(reps, dict)
+        and all(
+            key.isascii() and key.isdecimal() and isinstance(ids, list) and all(map(_is_int, ids))
+            for key, ids in reps.items()
+        )
+    ):
+        return "representatives is not a map from decimal cluster ids to lists of integers"
     k = None
     matrix = artifact.transition_matrix
     if matrix is not None:

@@ -15,6 +15,7 @@ import math
 import os
 import statistics
 import time
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -153,13 +154,7 @@ def cmd_evaluate(manifest_path, config_path, out_path):
 
 
 def report_to_json(report: EvalReport) -> str:
-    return to_canonical_json(
-        {
-            "per_document": report.per_document,
-            "aggregates": report.aggregates,
-            "failure_counts": report.failure_counts,
-        }
-    )
+    return to_canonical_json(asdict(report))
 
 
 def _artifact_matrix(art: RunArtifact) -> TransitionMatrix:

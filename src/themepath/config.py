@@ -20,7 +20,7 @@ import os
 import re
 import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .chunking import ChunkerConfig
 from .embeddings import EmbeddingProviderConfig
@@ -56,16 +56,13 @@ class RunConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def snapshot(self) -> dict:
         """JSON-ready copy of every setting; contains no secret values."""
-
-        def plain(value):
-            if is_dataclass(value):
-                return {f.name: getattr(value, f.name) for f in fields(value)}
-            return value
-
-        snap = {f.name: plain(getattr(self, f.name)) for f in fields(self) if f.init}
+        snap = asdict(self)
+        del snap["env_templates"]
         for (section, name), (template, parsed) in self.env_templates.items():
             target = snap[section] if section else snap
             if target[name] == parsed:  # not overridden since parsing

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .embeddings import EmbeddingProviderConfig, cosine_similarity, embed_batch
 
@@ -107,16 +107,27 @@ def coherence(text: str, embed_cfg: EmbeddingProviderConfig) -> CoherenceScore:
     if count < 2:
         return CoherenceScore(None, None, count)
     vectors = embed_batch(sentences, embed_cfg)
-    first = [cosine_similarity(vectors[i], vectors[i + 1]) for i in range(count - 1)]
-    first_order = sum(first) / len(first)
-    second_order = None
-    if count >= 3:
-        second = [cosine_similarity(vectors[i], vectors[i + 2]) for i in range(count - 2)]
-        second_order = sum(second) / len(second)
-    return CoherenceScore(first_order, second_order, count)
+
+    def mean_at(offset: int) -> float | None:
+        if count <= offset:
+            return None
+        sims = [cosine_similarity(vectors[i], vectors[i + offset]) for i in range(count - offset)]
+        return sum(sims) / len(sims)
+
+    return CoherenceScore(mean_at(1), mean_at(2), count)
 
 
-_METRICS = ("rouge1_f1", "rouge2_f1", "coherence_first", "coherence_second")
+# The report's metrics, in table order: (name, column header, shown as percent).
+# Each document scores the first four; the last two are reserved slots for
+# externally computed semantic scores, so their means stay None (shown "-").
+_COLUMNS = (
+    ("rouge1_f1", "R-1", True),
+    ("rouge2_f1", "R-2", True),
+    ("coherence_first", "1st-O", False),
+    ("coherence_second", "2nd-O", False),
+    ("bert_f1", "BF1", False),
+    ("bleurt", "BLRT", False),
+)
 
 
 def evaluate_corpus(
@@ -137,7 +148,7 @@ def evaluate_corpus(
         raise ValueError("modes must align with pairs")
 
     per_document: list[dict] = []
-    failures = {m: 0 for m in _METRICS}
+    failures: dict[str, int] = {}
     buckets: dict[str, dict[str, list[float]]] = {}
     for (candidate, reference), mode in zip(pairs, modes):
         r1 = rouge_n(candidate, reference, 1)
@@ -147,69 +158,47 @@ def evaluate_corpus(
             "mode": mode,
             "rouge1": {"precision": r1.precision, "recall": r1.recall, "f1": r1.f1, "defined": r1.defined},
             "rouge2": {"precision": r2.precision, "recall": r2.recall, "f1": r2.f1, "defined": r2.defined},
-            "coherence": {
-                "first_order": coh.first_order,
-                "second_order": coh.second_order,
-                "sentence_count": coh.sentence_count,
-            },
+            "coherence": asdict(coh),
         }
         per_document.append(row)
-        bucket = buckets.setdefault(mode, {m: [] for m in _METRICS})
-        for metric, score, value in (
-            ("rouge1_f1", r1, r1.f1),
-            ("rouge2_f1", r2, r2.f1),
-        ):
-            if score.defined:
-                bucket[metric].append(value)
+        # One value per scored metric, None when undefined.
+        scores = (
+            r1.f1 if r1.defined else None,
+            r2.f1 if r2.defined else None,
+            coh.first_order,
+            coh.second_order,
+        )
+        bucket = buckets.setdefault(mode, {name: [] for name, _, _ in _COLUMNS})
+        for (name, _, _), value in zip(_COLUMNS, scores):
+            failures.setdefault(name, 0)
+            if value is None:
+                failures[name] += 1
             else:
-                failures[metric] += 1
-        for metric, value in (
-            ("coherence_first", coh.first_order),
-            ("coherence_second", coh.second_order),
-        ):
-            if value is not None:
-                bucket[metric].append(value)
-            else:
-                failures[metric] += 1
+                bucket[name].append(value)
 
-    aggregates: dict[str, dict[str, dict]] = {}
-    for mode, bucket in buckets.items():
-        aggregates[mode] = {}
-        for metric, values in bucket.items():
-            aggregates[mode][metric] = {
-                "mean": sum(values) / len(values) if values else None,
-                "count": len(values),
-            }
-        # Schema slots for externally computed semantic scores.
-        aggregates[mode]["bert_f1"] = {"mean": None, "count": 0}
-        aggregates[mode]["bleurt"] = {"mean": None, "count": 0}
+    aggregates = {
+        mode: {
+            name: {"mean": sum(values) / len(values) if values else None, "count": len(values)}
+            for name, values in bucket.items()
+        }
+        for mode, bucket in buckets.items()
+    }
     return EvalReport(per_document=per_document, aggregates=aggregates, failure_counts=failures)
+
+
+def _cell(mean: float | None, percent: bool) -> str:
+    if mean is None:
+        return "-"
+    return f"{mean * 100:.2f}" if percent else f"{mean:.3f}"
 
 
 def render_table(report: EvalReport) -> str:
     """Aligned-column table of the per-mode means (ROUGE shown as percent)."""
-    headers = ["Approach", "R-1", "R-2", "1st-O", "2nd-O", "BF1", "BLRT"]
-    rows = []
-    for mode in sorted(report.aggregates):
-        agg = report.aggregates[mode]
-
-        def cell(metric: str, percent: bool = False) -> str:
-            mean = agg[metric]["mean"]
-            if mean is None:
-                return "-"
-            return f"{mean * 100:.2f}" if percent else f"{mean:.3f}"
-
-        rows.append(
-            [
-                mode,
-                cell("rouge1_f1", percent=True),
-                cell("rouge2_f1", percent=True),
-                cell("coherence_first"),
-                cell("coherence_second"),
-                cell("bert_f1"),
-                cell("bleurt"),
-            ]
-        )
+    headers = ["Approach", *(header for _, header, _ in _COLUMNS)]
+    rows = [
+        [mode, *(_cell(report.aggregates[mode][name]["mean"], percent) for name, _, percent in _COLUMNS)]
+        for mode in sorted(report.aggregates)
+    ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),

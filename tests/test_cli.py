@@ -181,6 +181,15 @@ class TestSummarizeCommand:
         assert "error: k must be >= 1, got 0" in result.output
         assert "[stage]" not in result.output
 
+    def test_negative_seed_exits_2_before_any_stage(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Some document. With sentences.")
+        args = ["summarize", str(doc), "--provider", "mock", "--seed", "-1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert error_lines(result) == ["error: seed must be >= 0, got -1"]
+        assert "[stage]" not in result.output
+
     def test_flag_replaces_the_file_value_before_validation(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         write_config(cfg_path, chunk_size=tokens_per_chunk(), overlap=0, extra=["k = 0"])
@@ -371,6 +380,35 @@ class TestInspectCommand:
             assert result.exit_code == 2
             assert error_lines(result) == [f"error: corrupt artifact {art}: {problem}"]
             assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("labels", 5, "labels is not a list of integers"),
+            (
+                "representatives",
+                [[1, 2]],
+                "representatives is not a map from decimal cluster ids to lists of integers",
+            ),
+            (
+                "representatives",
+                {"x": [1]},
+                "representatives is not a map from decimal cluster ids to lists of integers",
+            ),
+        ],
+        ids=["labels-not-a-list", "representatives-not-a-map", "representatives-key-not-decimal"],
+    )
+    def test_artifact_with_unusable_clusters_exits_2_as_corrupt(self, tmp_path, field, value, problem):
+        art = fixture_artifact(tmp_path)
+        with open(art) as fh:
+            data = json.load(fh)
+        data[field] = value
+        with open(art, "w") as fh:
+            json.dump(data, fh)
+        result = CliRunner().invoke(main, ["inspect", art, "--what", "clusters"])
+        assert result.exit_code == 2
+        assert error_lines(result) == [f"error: corrupt artifact {art}: {problem}"]
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestEvaluateCommand:

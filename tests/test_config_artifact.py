@@ -111,6 +111,7 @@ class TestConfigParsing:
             ("embedding.max_retries = -4", "max_retries must be >= 0"),
             ("k = 0", "k must be >= 1, got 0"),
             ("k = -2", "k must be >= 1, got -2"),
+            ("seed = -1", "seed must be >= 0, got -1"),
             ("embedding.timeout = 0", "timeout must be > 0, got 0.0"),
             ("embedding.timeout = -1", "timeout must be > 0, got -1.0"),
             ("llm.timeout = 0", "timeout must be > 0, got 0.0"),

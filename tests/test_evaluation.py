@@ -194,3 +194,28 @@ class TestEvaluateCorpus:
         assert lines[0].split() == ["Approach", "R-1", "R-2", "1st-O", "2nd-O", "BF1", "BLRT"]
         assert lines[2].startswith("markov-cluster")
         assert "100.00" in lines[2]
+
+    def test_render_table_bytes_with_undefined_cells(self):
+        # "llm-full" has only an empty reference, so both its ROUGE means are
+        # undefined; no "markov-cluster" candidate has three sentences, so
+        # its second-order mean is undefined.  Rows sort by mode, columns
+        # pad to the widest cell, and the last column keeps its padding.
+        pairs = [
+            ("The fox runs. The fox runs.", "the fox runs"),
+            ("A b c", "x y z"),
+            ("Red fox. Red fox. Red fox.", ""),
+        ]
+        modes = ["markov-cluster", "markov-cluster", "llm-full"]
+        report = evaluate_corpus(pairs, EMBED_CFG, modes)
+        assert render_table(report) == (
+            "Approach        R-1    R-2    1st-O  2nd-O  BF1  BLRT\n"
+            "--------------  -----  -----  -----  -----  ---  ----\n"
+            "llm-full        -      -      1.000  1.000  -    -   \n"
+            "markov-cluster  33.33  28.57  1.000  -      -    -   \n"
+        )
+        assert report.failure_counts == {
+            "rouge1_f1": 1,
+            "rouge2_f1": 1,
+            "coherence_first": 1,
+            "coherence_second": 2,
+        }
