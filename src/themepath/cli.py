@@ -139,6 +139,8 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str, str]]:
 def cmd_evaluate(manifest_path, config_path, out_path):
     """Score candidate summaries against references per the manifest."""
     cfg = load_config(config_path)
+    if out_path is not None:
+        _check_report_path(out_path)
     entries = _read_manifest(manifest_path)
     if not entries:
         raise ConfigError("manifest is empty")
@@ -151,6 +153,19 @@ def cmd_evaluate(manifest_path, config_path, out_path):
     if out_path is not None:
         write_atomic(out_path, report_to_json(report))
         click.echo(f"report: {out_path}")
+
+
+def _check_report_path(path: str) -> None:
+    """An unusable ``--out`` path fails here, before any pair is scored or paid for."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write report {path}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write report {path}: cannot create directory {parent}: {exc.strerror}"
+        ) from exc
 
 
 def report_to_json(report: EvalReport) -> str:

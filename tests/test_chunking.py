@@ -1,9 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import oracle_chunk_document, oracle_tokenize
+from themepath import chunking
 from themepath.chunking import (
     Chunk,
     ChunkerConfig,
@@ -26,6 +28,13 @@ unicode_text = st.text(
     | st.characters(codec="utf-8"),
     max_size=60,
 )
+
+# Pieces whose joins put tabs, CRLF, the ideographic space and 2-, 3- and
+# 4-byte characters at every offset, so small blocks end on and next to them.
+seam_text = st.lists(
+    st.sampled_from(["a", "Z9", "_", ",", "é", "€", "你好", "😀", " ", "\t", "\r\n", "\u3000", "\u00a0"]),
+    max_size=40,
+).map("".join)
 
 
 class TestTokenize:
@@ -176,3 +185,81 @@ class TestChunkDocument:
             novel.extend(range(max(c.token_span[0], prev_end), c.token_span[1]))
             prev_end = c.token_span[1]
         assert novel == list(range(n_tokens))
+
+
+class TestBlockWalk:
+    """chunk_document and count_tokens split the text one block at a time."""
+
+    @staticmethod
+    def small_blocks(size):
+        return mock.patch.object(chunking, "_BLOCK_CHARS", size)
+
+    @given(seam_text | unicode_text, st.integers(min_value=1, max_value=8))
+    @example("ab\tcd\r\nef\u3000gh 你好 😀é", 1)
+    def test_matches_oracle_for_every_small_block(self, text, block):
+        with self.small_blocks(block):
+            assert count_tokens(text) == len(oracle_tokenize(text))
+            for chunk_size in range(1, 9):
+                for overlap in range(chunk_size):
+                    cfg = ChunkerConfig(chunk_size, overlap)
+                    assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+
+    @given(seam_text, st.integers(min_value=1, max_value=8))
+    def test_blocks_tile_the_text_at_whitespace(self, text, block):
+        with self.small_blocks(block):
+            ranges = list(chunking._blocks(text))
+        assert "".join(text[start:end] for start, end in ranges) == text
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        for start, end in ranges[:-1]:
+            assert end - start >= block and text[end].isspace()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ab" + " \t\r\n\u3000" * 9 + "cd, ef",  # whitespace runs on past several blocks
+            "x" + "é€你😀_9," * 9 + " y z",  # no whitespace for several blocks
+            "\r\n" * 30,
+            "😀é\u3000" * 15,
+        ],
+        ids=["whitespace-run", "no-whitespace-run", "crlf-only", "multibyte"],
+    )
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_runs_longer_than_a_block(self, text, block):
+        with self.small_blocks(block):
+            assert len(list(chunking._blocks(text))) > 1
+            assert count_tokens(text) == len(oracle_tokenize(text))
+            for cfg in (ChunkerConfig(1, 0), ChunkerConfig(3, 1), ChunkerConfig(5, 4)):
+                assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+
+    def test_runs_longer_than_a_default_block(self):
+        block = chunking._BLOCK_CHARS
+        text = "a" + " " * (2 * block) + "b" * (3 * block) + "\tc" + "\r\n" * block + "d"
+        cfg = ChunkerConfig(2, 1)
+        assert count_tokens(text) == 4
+        assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+
+    def test_memory_beyond_the_chunks_stays_under_2_mb(self):
+        n_tokens = 400_000
+        text = make_doc(n_tokens)
+        tracemalloc.start()
+        try:
+            chunks = chunk_document(text, ChunkerConfig())
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunks[-1].token_span[1] == n_tokens
+        # Splitting the whole text at once held about 25 MB beyond the chunks.
+        assert peak - retained < 2_000_000
+
+    def test_count_tokens_memory_stays_under_2_mb(self):
+        n_tokens = 400_000
+        text = make_doc(n_tokens)
+        tracemalloc.start()
+        try:
+            count = count_tokens(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n_tokens
+        # A list of every token took about 22 MB.
+        assert peak < 2_000_000

@@ -480,6 +480,55 @@ class TestEvaluateCommand:
         assert "Traceback" not in result.output
 
 
+    @staticmethod
+    def remote_pair(tmp_path, stub_server):
+        """A one-pair manifest and a remote embedding config on a stub that records each call."""
+        (tmp_path / "cand.txt").write_text("The fox jumps. The dog sleeps. The cat naps.")
+        (tmp_path / "ref.txt").write_text("The fox jumps. The dog sleeps.")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("cand.txt\tref.txt\n")
+        server, url = stub_server(
+            lambda body: (200, {"data": [{"embedding": [1.0, float(len(t))]} for t in body["input"]]})
+        )
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, extra=["embedding.kind = remote", f"embedding.endpoint = {url}"])
+        return manifest, cfg_path, server
+
+    def test_report_path_that_is_a_directory_exits_2_before_any_embedding_call(
+        self, tmp_path, stub_server
+    ):
+        manifest, cfg_path, server = self.remote_pair(tmp_path, stub_server)
+        args = ["evaluate", str(manifest), "--config", str(cfg_path), "--out"]
+        written = CliRunner().invoke(main, [*args, str(tmp_path / "report.json")])
+        assert written.exit_code == 0, written.output
+        assert len(server.requests) > 0
+        server.requests.clear()
+
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        result = CliRunner().invoke(main, [*args, str(out_dir)])
+        assert result.exit_code == 2
+        assert error_lines(result) == [f"error: cannot write report {out_dir}: it is a directory"]
+        assert result.output == error_lines(result)[0] + "\n"  # no table
+        assert server.requests == []
+        assert os.listdir(out_dir) == []
+
+    def test_report_path_whose_directory_cannot_be_made_exits_2_before_scoring(
+        self, tmp_path, stub_server
+    ):
+        manifest, cfg_path, server = self.remote_pair(tmp_path, stub_server)
+        (tmp_path / "plain.txt").write_text("a file, not a directory\n")
+        out = tmp_path / "plain.txt" / "report.json"
+        result = CliRunner().invoke(
+            main, ["evaluate", str(manifest), "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert len(error_lines(result)) == 1
+        assert error_lines(result)[0].startswith(f"error: cannot write report {out}: ")
+        assert ".tmp" not in result.output and "Approach" not in result.output
+        assert server.requests == []
+
+
 class TestBenchCommand:
     def test_csv_schema_and_row_count(self, tmp_path):
         runner = CliRunner()
