@@ -5,11 +5,10 @@ letters/digits form one token, every other non-whitespace character is its
 own token.  The pipeline only depends on token counts and chunk boundaries,
 not on any particular subword vocabulary.
 
-``chunk_document`` and ``count_tokens`` walk the text in blocks of about
-``_BLOCK_CHARS`` characters, each ending at a whitespace character, so no
-token is cut.  Besides its output, a call holds one block's tokens at a
-time: memory is bounded by one block plus the longest run of text without
-whitespace, not by the length of the document.
+``chunk_document`` and ``count_tokens`` take the tokens one match at a
+time from a single ``finditer`` walk over the text.  Besides its output, a
+call holds one match at a time, whatever the whitespace: memory does not
+grow with the length of the document or of its runs without whitespace.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 # One capture group: split() returns gap, token, gap, ..., token, gap, so
 # token t is parts[2t + 1]; findall() returns the tokens alone.
 _TOKEN_RE = re.compile(r"([^\W_]+|[^\w\s]|_)")
-_SPACE_RE = re.compile(r"\s")
-# Characters per block of the walk; a block runs on to its next whitespace.
-_BLOCK_CHARS = 1 << 16
 
 
 @dataclass
@@ -83,27 +79,21 @@ def split_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _blocks(text: str):
-    """(start, end) character ranges that tile text without cutting a token.
-
-    Each range runs from its start to the first whitespace character at or
-    after ``_BLOCK_CHARS`` characters on, or to the end of text.  No token
-    holds whitespace, so the ranges' tokens, in turn, are the tokens of text.
-    """
-    start = 0
-    while start < len(text):
-        space = _SPACE_RE.search(text, start + _BLOCK_CHARS)
-        end = space.start() if space else len(text)
-        yield start, end
-        start = end
-
-
 def _utf8_len(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
+def _count_from(text: str, pos: int) -> tuple[int, int]:
+    """(tokens of text from character pos on, character offset just past the last).
+
+    The offset is pos itself when there are none.
+    """
+    last = deque(enumerate(_TOKEN_RE.finditer(text, pos), 1), maxlen=1)
+    return (last[0][0], last[0][1].end()) if last else (0, pos)
+
+
 def count_tokens(text: str) -> int:
-    return sum(len(_TOKEN_RE.findall(text, start, end)) for start, end in _blocks(text))
+    return _count_from(text, 0)[0]
 
 
 def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chunk]:
@@ -114,16 +104,18 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
     even when short so no token is dropped.  A document with no tokens
     yields no chunks.
 
-    The text is split one block at a time.  A chunk opens at its first
-    token, recording that token's index, character offset and UTF-8 offset,
-    and closes at its last token, taking its text as one slice of the
-    document; the overlap keeps up to ceil(chunk_size / stride) open at once.
+    One match iterator walks the text, and islice skips it from each chunk
+    boundary to the next.  A chunk opens at its first token, recording that
+    token's index, character offset and UTF-8 offset, and closes at its last
+    token, taking its text as one slice of the document; the overlap keeps
+    up to ceil(chunk_size / stride) open at once.
     """
     size, stride = cfg.chunk_size, cfg.chunk_size - cfg.overlap
+    matches = _TOKEN_RE.finditer(text)
     chunks: list[Chunk] = []
     opened: deque[tuple[int, int, int]] = deque()  # (token, char, byte) of each open chunk
-    total = 0  # tokens in the blocks before this one
-    last_end = 0  # character offset just past the last token seen
+    total = 0  # tokens the walk has passed
+    last_end = 0  # character offset just past the last token passed
     # byte_pos is the UTF-8 offset of character byte_char; it moves from one
     # chunk start to the next, so only the text between them is re-encoded.
     byte_char = byte_pos = 0
@@ -135,31 +127,26 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
         token_span = (start_token, end_token)
         chunks.append(Chunk(len(chunks), body, end_token - start_token, byte_span, token_span))
 
-    for start, end in _blocks(text):
-        parts = _TOKEN_RE.split(text[start:end])
-        part, pos = 0, start  # pos is the character offset of parts[part]
-        while True:
-            # Token t of the document is parts[2 * (t - total) + 1].  The next
-            # chunk opens at the start of its first token (an odd part index),
-            # the oldest open one closes just past its last token (an even
-            # one), so the two never fall on the same index.
-            next_open = 2 * ((len(chunks) + len(opened)) * stride - total) + 1
-            next_close = 2 * (opened[0][0] + size - 1 - total) + 2 if opened else next_open + 1
-            target = min(next_open, next_close)
-            if target >= len(parts):
-                break
-            pos += sum(map(len, parts[part:target]))
-            part = target
-            if target == next_open:
-                byte_pos += _utf8_len(text[byte_char:pos])
-                byte_char = pos
-                opened.append((total + target // 2, pos, byte_pos))
-            else:
-                close(total + target // 2, pos)
-        count = len(parts) // 2
-        if count:
-            total += count
-            last_end = end - len(parts[-1])
+    while True:
+        # The next token to stop at: the first token of the next chunk or the
+        # last token of the oldest open one.  With chunk_size 1 they are the
+        # same token, and a chunk may open where an older one closes.
+        next_open = (len(chunks) + len(opened)) * stride
+        target = min(next_open, opened[0][0] + size - 1) if opened else next_open
+        match = next(islice(matches, target - total, None), None)
+        if match is None:
+            break
+        total, last_end = target + 1, match.end()
+        if target == next_open:
+            byte_pos += _utf8_len(text[byte_char : match.start()])
+            byte_char = match.start()
+            opened.append((target, byte_char, byte_pos))
+        if opened[0][0] + size - 1 == target:
+            close(total, last_end)
+    # The walk ran out before its target; count the tokens it skipped past
+    # the last stop, fewer than one chunk's worth.
+    count, last_end = _count_from(text, last_end)
+    total += count
     # The chunks still open run past the last token.  The oldest of them is
     # the short last chunk, unless a chunk already ended at the last token.
     if opened and not (chunks and chunks[-1].token_span[1] == total):

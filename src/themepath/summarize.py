@@ -116,12 +116,11 @@ def _complete(template: str, texts: list[str], cfg: LlmProviderConfig) -> tuple[
         raise ProtocolError("chat response missing choices[0].message.content")
     if not isinstance(text, str) or not text.strip():
         raise ProtocolError("chat provider returned an empty completion")
-    meta = {
-        "model": cfg.model_name,
-        "prompt_version": PROMPT_VERSION,
-        "usage": data.get("usage", {}),
-    }
-    return text, meta
+    # Only integer counts are kept: the JSON decoder accepts NaN and Infinity,
+    # which the artifact, written as strict JSON, cannot hold.
+    usage = data.get("usage")
+    usage = {k: v for k, v in usage.items() if type(v) is int} if isinstance(usage, dict) else {}
+    return text, {"model": cfg.model_name, "prompt_version": PROMPT_VERSION, "usage": usage}
 
 
 def _map_calls(fn, items: list, cfg: LlmProviderConfig) -> list:
@@ -177,10 +176,11 @@ def summarize_full_document(document: str, cfg: LlmProviderConfig) -> tuple[str,
     """
     if cfg.context_limit is not None:
         budget = cfg.context_limit - cfg.context_margin
-        if count_tokens(document) > budget:
-            pieces = chunk_document(document, ChunkerConfig(chunk_size=budget, overlap=0))
+        pieces = chunk_document(document, ChunkerConfig(chunk_size=budget, overlap=0))
+        if len(pieces) > 1:
             piece_summaries = _map_calls(
                 lambda piece: _complete("document_summary", [piece.text], cfg)[0], pieces, cfg
             )
             return _complete("document_summary", piece_summaries, cfg)[0], True
+    # A document within the budget is sent as it is, surrounding whitespace included.
     return _complete("document_summary", [document], cfg)[0], False

@@ -163,6 +163,29 @@ class TestSummarizeCommand:
         assert result.exit_code == 1
         assert "stage 'embed'" in result.output
 
+    def test_non_finite_usage_from_the_chat_provider_still_saves_the_artifact(
+        self, tmp_path, stub_server
+    ):
+        # The stub writes the bare literal NaN, which the client's JSON decoder accepts.
+        reply = {
+            "choices": [{"message": {"content": "A summary."}}],
+            "usage": {"prompt_tokens": float("nan"), "completion_tokens": 5, "total": 5.0},
+        }
+        server, url = stub_server([(200, reply)])
+        cfg_path = tmp_path / "run.cfg"
+        write_config(
+            cfg_path,
+            chunk_size=tokens_per_chunk(),
+            overlap=0,
+            extra=["k = 3", "llm.kind = remote-chat", f"llm.endpoint = {url}"],
+        )
+        result, out_dir = run_summarize(tmp_path, CliRunner(), "run", config=cfg_path)
+        assert result.exit_code == 0, result.output
+        assert len(server.requests) == 4  # three cluster summaries and the aggregation
+        artifact = json.loads((out_dir / "artifact.json").read_text())
+        usages = [s["provider_metadata"]["usage"] for s in artifact["cluster_summaries"]]
+        assert usages == [{"completion_tokens": 5}] * 3
+        assert (out_dir / "summary.txt").read_text().strip() == "A summary."
 
     def test_remote_provider_without_endpoint_exits_2_before_any_stage(self, tmp_path):
         doc = tmp_path / "doc.txt"

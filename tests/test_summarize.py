@@ -141,6 +141,24 @@ class TestFullDocumentBaseline:
             _load_template("document_summary").format(sections=doc)
         ]
 
+    @pytest.mark.parametrize("n_tokens,stitched", [(50, False), (51, True)])
+    def test_stitching_starts_one_token_past_the_budget(
+        self, stub_server, no_sleep, n_tokens, stitched
+    ):
+        server, url = stub_server([(200, _chat_payload("Summary."))])
+        doc = "\n " + " ".join(f"w{i}" for i in range(n_tokens)) + " \n"
+        cfg = LlmProviderConfig(kind="remote-chat", endpoint=url, context_limit=60, context_margin=10)
+        assert summarize_full_document(doc, cfg) == ("Summary.", stitched)
+        prompts = [r["body"]["messages"][1]["content"] for r in server.requests]
+        template = _load_template("document_summary")
+        if stitched:
+            pieces = [" ".join(f"w{i}" for i in range(50)), "w50"]
+            assert sorted(prompts[:-1]) == sorted(template.format(sections=p) for p in pieces)
+            assert prompts[-1] == template.format(sections=SECTION_DELIMITER.join(["Summary."] * 2))
+        else:
+            # Within the budget the document goes out as it is, whitespace and all.
+            assert prompts == [template.format(sections=doc)]
+
     def test_remote_stitching_summarizes_pieces_then_their_replies(self, stub_server, no_sleep):
         def answer(prompt):
             return f"Reply {hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:8]}."
