@@ -129,10 +129,6 @@ class TestChunkDocument:
     @example(" \t\n \u3000 ")
     @example("İstanbul_ΣΊΣΥΦΟΣ, straße! 3 € 你好吗\n\tend_")
     @example("ab\tcd\r\nef\u3000gh 你好 😀é")
-    @example("ab" + " \t\r\n\u3000" * 9 + "cd, ef")  # a long whitespace run
-    @example("x" + "é€你😀_9," * 9 + " y z")  # a long run without whitespace
-    @example("\r\n" * 30)
-    @example("😀é\u3000" * 15)
     def test_matches_oracle_on_unicode_for_every_small_config(self, text):
         assert tokenize(text) == oracle_tokenize(text)
         assert count_tokens(text) == len(oracle_tokenize(text))
@@ -200,6 +196,23 @@ LONG_TEXTS = {
 
 class TestMatchWalk:
     """chunk_document and count_tokens take the tokens from one finditer walk."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ab" + " \t\r\n\u3000" * 9 + "cd, ef",  # a long whitespace run
+            "x" + "é€你😀_9," * 9 + " y z",  # a long run without whitespace
+            "\r\n" * 30,
+            "😀é\u3000" * 15,
+        ],
+        ids=["whitespace-run", "no-whitespace-run", "crlf-only", "multibyte"],
+    )
+    @pytest.mark.parametrize("chunk_size", [1, 3, 5])
+    def test_long_runs_match_the_oracle_at_every_overlap(self, text, chunk_size):
+        assert count_tokens(text) == len(oracle_tokenize(text))
+        for overlap in range(chunk_size):
+            cfg = ChunkerConfig(chunk_size, overlap)
+            assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
 
     def test_runs_of_over_a_hundred_thousand_characters(self):
         run = 1 << 16
