@@ -1,20 +1,11 @@
-"""Minimal setup.py: builds the plain-C path-solver kernel.
+"""Minimal setup.py: all metadata lives in pyproject.toml.
 
-All metadata lives in pyproject.toml.  The extension needs only a C
-compiler and the Python headers.  It is optional: if it cannot be built
-the build still succeeds, and the package falls back to the pure-numpy
-kernel at import time.
+The package is pure Python and builds no extension.  The file stays
+because perfbench/run.py runs ``python setup.py -q build_ext --inplace``
+before every benchmark and needs that command to exit 0; with no
+extensions it builds nothing and leaves nothing behind.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "themepath._pathcore",
-            ["src/themepath/_pathcore.c"],
-            extra_compile_args=["-O3"],
-            optional=True,
-        )
-    ]
-)
+setup()

@@ -1,23 +1,37 @@
-"""Pure-numpy bitmask-DP kernel; fallback when the compiled C core is absent.
+"""Numpy kernels of the exact path solver.
 
-Fills the same reach masks as ``_pathcore.fill_reach``, and the same
-successor table and final row as ``_pathcore.fill_successors``, bit for
-bit: every value is one IEEE add of previously rounded values followed by
-a max, and every successor is the first node to reach that max, so the two
-kernels are interchangeable even under exact float comparison.
+``frontier_order`` solves over the positive states alone: the (S, i) that
+start a positive-probability path over the subset S.  Cluster matrices are
+sparse, so there are few of them (3,874-14,751 of the 2^20 * 20 at k = 20
+on the perfbench books).  When there are many it gives up, and the dense
+pass takes over: ``fill_reach`` to find the suffix worth filling, then
+``fill_successors`` over every (subset, node) cell of it.
 
-Space: ``fill_reach`` needs the caller's 2^k uint32 masks plus the 2^k
-subsets (uint32), their popcounts (uint8) and one cardinality's subsets.
-``fill_successors`` needs the caller's 2^k x k int8 successor table plus
-two adjacent cardinality layers of values, max_c C(k, c) x k float64 each,
-and the 2^k-entry subset order (int64) and rank (int32) arrays.
+Every value either path computes is one IEEE add of previously rounded
+values followed by a max, and every successor is the first node to reach
+that max, so both give the same order and the same bits.
+
+Space: ``frontier_order`` keeps 5 bytes per state, plus about 100 bytes
+per candidate of the layer it is growing.  ``fill_reach`` needs the caller's 2^k
+uint32 masks plus the 2^k subsets (uint32), their popcounts (uint8) and one
+cardinality's subsets.  ``fill_successors`` needs the caller's 2^k x k int8
+successor table plus two adjacent cardinality layers of values,
+max_c C(k, c) x k float64 each, and the 2^k-entry subset order (int64) and
+rank (int32) arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MAX_K = 22  # MAX_K of _pathcore.c
+MAX_K = 22
+# The frontier gives up before its candidate states pass this share of the
+# dense table's 2^k * k cells.  On random sparse matrices at k = 16 and 18
+# it wins below about 0.07-0.1 of them when no positive path exists (the
+# dense pass then fills little beyond the reach masks) and below about 0.7
+# when one does.  At 0.05 the work it throws away on an all-positive matrix
+# is 1-4 % of the dense solve at k = 16-20.
+FRONTIER_SHARE = 0.05
 
 
 def _side(logw: np.ndarray) -> int:
@@ -28,6 +42,87 @@ def _side(logw: np.ndarray) -> int:
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the kernel's cap of {MAX_K}")
     return k
+
+
+def frontier_order(logw: np.ndarray) -> list[int] | None:
+    """The order of the dense solve, from the positive states alone; None past the budget.
+
+    ``logw`` holds the start-at weights of ``fill_successors``.  Layer c
+    holds the states (S, i) with |S| = c and g[S, i] > -inf, each with that
+    value and the lowest j attaining it: the dense fill's value and
+    successor, since cells holding -inf never attain a finite max.  If the
+    full set has a state, the walk starts at the first argmax of its values.
+    Otherwise it is 0, ..., t-1, then the walk from ({t, ..., k-1}, t) for
+    the smallest t with that state (the suffix rule of ``pathfinding``).
+
+    Returns None, before growing the layer that would take the candidate
+    states it has made past FRONTIER_SHARE of the 2^k * k cells.
+    """
+    k = _side(logw)
+    budget = FRONTIER_SHARE * (1 << k) * k
+    nodes = np.arange(k, dtype=np.int64)
+    # Bit i of into[j]: the edge i -> j is positive, so (S, j) grows to (S + {i}, i).
+    into = np.bitwise_or.reduce((logw > -np.inf).astype(np.int64) << nodes, axis=1)
+    keys = 1 << nodes << 5 | nodes  # a state's key is S << 5 | i, and a layer is sorted by it
+    values = np.zeros(k)
+    layers = [(keys.astype(np.uint32), np.zeros(k, np.int8))]
+    made = k
+    while len(layers) < k:
+        free = into[keys & 31] & ~(keys >> 5)
+        made += int(np.bitwise_count(free).sum())
+        if made > budget:
+            return None
+        if not free.any():
+            break
+        keys, values, succ = _grow(logw, keys, values, free)
+        layers.append((keys.astype(np.uint32), succ.astype(np.int8)))
+
+    full = (1 << k) - 1
+    if len(layers) == k:
+        prefix, cur = 0, int(keys[np.argmax(values)] & 31)
+    else:
+        # {k-1} always starts a path over itself, so the search ends by t = k-1.
+        prefix = next(t for t in range(1, k) if _index(layers, full >> t << t, t) >= 0)
+        cur = prefix
+    order = list(range(prefix))
+    mask = full >> prefix << prefix
+    while True:
+        order.append(cur)
+        if len(order) == k:
+            return order
+        succ = layers[mask.bit_count() - 1][1]
+        mask, cur = mask ^ 1 << cur, int(succ[_index(layers, mask, cur)])
+
+
+def _grow(logw: np.ndarray, keys: np.ndarray, values: np.ndarray, free: np.ndarray):
+    """The next layer's (keys, values, successors) from one layer and its free bits."""
+    k = logw.shape[0]
+    bits = np.unpackbits(free.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1, count=k, bitorder="little")
+    # By new node i, then by source (S, j): S -> S + {i} keeps the sources' order,
+    # so the sources of one new state are adjacent, by increasing j.
+    new, src = np.nonzero(bits.T)
+    del bits
+    ends = keys[src] & 31
+    grown = (keys[src] >> 5 | 1 << new) << 5 | new
+    candidates = values[src] + logw[ends, new]
+    del new, src
+    first = np.flatnonzero(np.diff(grown, prepend=-1))
+    best = np.maximum.reduceat(candidates, first)
+    hits = np.flatnonzero(candidates == np.repeat(best, np.diff(first, append=len(grown))))
+    wins = hits[np.searchsorted(hits, first)]  # the first candidate of each new state to reach its best
+    heads = grown[first]
+    order = np.argsort(heads, kind="stable")  # a merge of k sorted runs, one per new node
+    return heads[order], best[order], ends[wins][order]
+
+
+def _index(layers: list, mask: int, node: int) -> int:
+    """Position of the state (mask, node) in its layer, or -1 when it is not positive."""
+    c = mask.bit_count()
+    if c > len(layers):
+        return -1
+    keys = layers[c - 1][0]
+    at = int(np.searchsorted(keys, mask << 5 | node))
+    return at if at < len(keys) and keys[at] == mask << 5 | node else -1
 
 
 def fill_reach(logw: np.ndarray, reach: np.ndarray) -> None:

@@ -226,21 +226,12 @@ def cmd_inspect(artifact_path, what):
 )
 @click.option("--trials", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "out_path", default=None, help="CSV output path (default: stdout).")
-@click.option(
-    "--compare", is_flag=True, default=False, help="Time every available DP backend, not just the default."
-)
-def cmd_bench(max_k, trials, out_path, compare):
+def cmd_bench(max_k, trials, out_path):
     """Median DP solve time per k on random row-stochastic matrices."""
-    backends = pathfinding.available_backends() if compare else [pathfinding.default_backend()]
-    rows = bench_rows(max_k, trials, backends)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if compare:
-        writer.writerow(["k", "backend", "milliseconds"])
-        writer.writerows(rows)
-    else:
-        writer.writerow(["k", "milliseconds"])
-        writer.writerows((k, ms) for k, _, ms in rows)
+    writer.writerow(["k", "milliseconds"])
+    writer.writerows(bench_rows(max_k, trials))
     text = buf.getvalue()
     if out_path is None:
         click.echo(text, nl=False)
@@ -256,17 +247,16 @@ def random_transition_matrix(k: int, seed: int) -> TransitionMatrix:
     return TransitionMatrix(probs=probs, k=k, zero_rows=frozenset())
 
 
-def bench_rows(max_k: int, trials: int, backends: list[str]) -> list[tuple[int, str, float]]:
+def bench_rows(max_k: int, trials: int) -> list[tuple[int, float]]:
     rows = []
     for k in range(2, max_k + 1):
-        for backend in backends:
-            times = []
-            for trial in range(trials):
-                matrix = random_transition_matrix(k, seed=1000 * k + trial)
-                started = time.perf_counter()
-                pathfinding.solve_dp(matrix, backend=backend)
-                times.append((time.perf_counter() - started) * 1000.0)
-            rows.append((k, backend, round(statistics.median(times), 3)))
+        times = []
+        for trial in range(trials):
+            matrix = random_transition_matrix(k, seed=1000 * k + trial)
+            started = time.perf_counter()
+            pathfinding.solve_dp(matrix)
+            times.append((time.perf_counter() - started) * 1000.0)
+        rows.append((k, round(statistics.median(times), 3)))
     return rows
 
 

@@ -4,29 +4,32 @@ Both solvers share one contract: visit every cluster exactly once,
 maximize the product of transition probabilities along the way, free
 choice of start and end node.
 
-* ``solve_dp``: exact bitmask dynamic programming (Held-Karp), O(k^2 * 2^k)
-  time.  DP_HARD_CAP = 22 is the one cap on it: ``solve_dp`` refuses a
-  larger k before it allocates anything, and ``choose_k``'s default clamp
-  never exceeds it.  It runs in two passes, each through the same kernel:
-  - The reach pass, O(k * 2^k), records for every subset S the k-bit mask
-    of the nodes that start a positive-probability path over S: one uint32
-    per subset, 4 MB at k = 20 and 16 MB at k = 22, freed before the fill.
-  - The fill runs the start-at recurrence over the subsets in cardinality
-    order, keeps the values of only two adjacent cardinalities, and records
-    one int8 successor per (subset, node) cell for the walk.  Space: the
-    2^k * k byte successor table plus the two layers, about 21 + 30 MB at
-    k = 20 and 92 + 124 MB at k = 22 with the compiled kernel (a full
-    2^k x k float64 table would take 168 MB and 738 MB).
-  If some positive path covers every node, the fill covers all k nodes and
-  the walk starts at the first argmax of its final row.  If none does, the
-  full-table walk starts at node 0 and takes the lowest remaining node for
-  as long as its value is -inf: the order is 0, 1, ..., t-1 for the
-  smallest t at which a positive path over {t, ..., k-1} starts at t, then
-  the walk of that suffix from t.  The fill then covers only the k - t
-  suffix nodes: its cells depend only on the weights among them, and
-  numbering them 0, ..., k-t-1 keeps their order, so the walk is the same.
-  The kernel is the plain-C extension ``_pathcore`` when it is built, else
-  the bit-identical numpy module ``_pathpure``.
+* ``solve_dp``: exact bitmask dynamic programming (Held-Karp) on the
+  start-at recurrence g[S, i], the best log-prob over paths that visit S
+  starting at i.  DP_HARD_CAP = 22 is the one cap on it: ``solve_dp``
+  refuses a larger k before it allocates anything, and ``choose_k``'s
+  default clamp never exceeds it.  Both of its paths are numpy, in
+  ``_pathpure``:
+  - The frontier first.  It grows only the positive states, the (S, i) with
+    g[S, i] > -inf, one cardinality at a time along positive edges.  On the
+    perfbench books (k = 20) that is 3,874-14,751 states, a few ms and well
+    under 1 MB.  It gives up once its candidate states pass
+    ``_pathpure.FRONTIER_SHARE`` of the 2^k * k cells.
+  - Then the dense pass.  A reach pass, O(k * 2^k), records for every
+    subset S the k-bit mask of the nodes that start a positive-probability
+    path over S: one uint32 per subset, 4 MB at k = 20 and 16 MB at k = 22,
+    freed before the fill.  The fill runs the recurrence over the subsets
+    in cardinality order, keeps the values of only two adjacent
+    cardinalities, and records one int8 successor per (subset, node) cell:
+    about 21 + 60 MB at k = 20 and 92 + 248 MB at k = 22.
+  If some positive path covers every node, the walk starts at the first
+  argmax of g[full, .].  If none does, the full-table walk starts at node 0
+  and takes the lowest remaining node for as long as its value is -inf: the
+  order is 0, 1, ..., t-1 for the smallest t at which a positive path over
+  {t, ..., k-1} starts at t, then the walk of that suffix from t.  The dense
+  pass then fills only the k - t suffix nodes: its cells depend only on the
+  weights among them, and numbering them 0, ..., k-t-1 keeps their order,
+  so the walk is the same.
 * ``solve_greedy``: best-of-k-starts nearest-successor heuristic for k
   beyond the DP cap.  The pipeline alone picks between the two: the exact
   solver when k <= DP_HARD_CAP, else the heuristic.
@@ -48,12 +51,8 @@ from .errors import InfeasibleError
 from .markov import TransitionMatrix
 from . import _pathpure
 
-try:
-    from . import _pathcore
-except ImportError:
-    _pathcore = None
-
-DP_HARD_CAP = _pathpure.MAX_K  # the largest k either kernel accepts
+# The largest k the exact solver accepts: the dense fall-back's table grows as 2^k * k.
+DP_HARD_CAP = _pathpure.MAX_K
 _NEG_INF = float("-inf")
 
 
@@ -65,23 +64,13 @@ class HamiltonianPath:
 
 
 def available_backends() -> list[str]:
-    return ["compiled", "pure"] if _pathcore is not None else ["pure"]
+    """The one kernel name, "pure".
 
-
-def default_backend() -> str:
-    return "compiled" if _pathcore is not None else "pure"
-
-
-def _kernel(backend: str | None):
-    """The kernel module, ``_pathcore`` or ``_pathpure``, of a backend name."""
-    name = backend if backend is not None else default_backend()
-    if name == "compiled":
-        if _pathcore is None:
-            raise InfeasibleError("compiled dp backend requested but not built")
-        return _pathcore
-    if name == "pure":
-        return _pathpure
-    raise ValueError(f"unknown dp backend {name!r}")
+    perfbench's solver sweep still names its kernels through this and
+    ``solve_dp``'s ``backend``; a benchmark change that drops the name
+    there removes both.
+    """
+    return ["pure"]
 
 
 def _log_weights(matrix: TransitionMatrix) -> np.ndarray:
@@ -102,12 +91,12 @@ def path_probability(matrix: TransitionMatrix, order: list[int]) -> float:
     return total
 
 
-def _unreachable_prefix(kernel, logw: np.ndarray) -> int:
+def _unreachable_prefix(logw: np.ndarray) -> int:
     """0 if a positive-probability path covers every node, else the smallest
     t at which one over {t, ..., k-1} starts at t."""
     k = logw.shape[0]
     reach = np.empty(1 << k, dtype=np.uint32)
-    kernel.fill_reach(logw, reach)
+    _pathpure.fill_reach(logw, reach)
     full = (1 << k) - 1
     if reach[full]:
         return 0
@@ -115,32 +104,15 @@ def _unreachable_prefix(kernel, logw: np.ndarray) -> int:
     return next(t for t in range(1, k) if (int(reach[full >> t << t]) >> t) & 1)
 
 
-def solve_dp(matrix: TransitionMatrix, backend: str | None = None) -> HamiltonianPath:
-    """Exact solution via the subset DP, reconstructed front to back.
-
-    The kernel fills the start-at recurrence g[S, i] (best log-prob over
-    paths that visit S starting at i) and records, per cell, the smallest
-    successor that attains it.  The walk starts at the first argmax of
-    g[full, .] and follows those successors, which yields the
-    lexicographically smallest of all optimal orders.  When no positive
-    path covers every node, the reach pass fixes the walk's unreachable
-    prefix and the kernel fills only the suffix (see the module docstring).
-    """
-    k = matrix.k
-    if k < 1:
-        raise ValueError("matrix must have at least one state")
-    if k > DP_HARD_CAP:
-        raise InfeasibleError(
-            f"k={k} exceeds the DP cap {DP_HARD_CAP}; use solve_greedy or fewer clusters"
-        )
-    kernel = _kernel(backend)
-    logw = np.ascontiguousarray(_log_weights(matrix).T, dtype=np.float64)
-    prefix = _unreachable_prefix(kernel, logw)
+def _dense_order(logw: np.ndarray) -> list[int]:
+    """The walk of the dense pass: reach, then the successor table of the suffix worth filling."""
+    k = logw.shape[0]
+    prefix = _unreachable_prefix(logw)
     logw = np.ascontiguousarray(logw[prefix:, prefix:])
     m = k - prefix
     succ = np.empty((1 << m, m), dtype=np.int8)
     final = np.empty(m, dtype=np.float64)
-    kernel.fill_successors(logw, succ, final)
+    _pathpure.fill_successors(logw, succ, final)
 
     cur = 0 if prefix else int(np.argmax(final))  # the walk enters a suffix at its first node
     order = [cur]
@@ -150,7 +122,33 @@ def solve_dp(matrix: TransitionMatrix, backend: str | None = None) -> Hamiltonia
         order.append(nxt)
         mask ^= 1 << cur
         cur = nxt
-    order = list(range(prefix)) + [prefix + i for i in order]
+    return list(range(prefix)) + [prefix + i for i in order]
+
+
+def solve_dp(matrix: TransitionMatrix, backend: str | None = None) -> HamiltonianPath:
+    """Exact solution via the subset DP, reconstructed front to back.
+
+    Both paths fill the start-at recurrence g[S, i] and record, per state,
+    the smallest successor that attains it.  The walk starts at the first
+    argmax of g[full, .] and follows those successors, which yields the
+    lexicographically smallest of all optimal orders.  When no positive
+    path covers every node, the walk's unreachable prefix is fixed and only
+    the suffix is walked (see the module docstring).  ``backend`` may only
+    be None or "pure" (see ``available_backends``).
+    """
+    k = matrix.k
+    if k < 1:
+        raise ValueError("matrix must have at least one state")
+    if k > DP_HARD_CAP:
+        raise InfeasibleError(
+            f"k={k} exceeds the DP cap {DP_HARD_CAP}; use solve_greedy or fewer clusters"
+        )
+    if backend not in (None, "pure"):
+        raise ValueError(f"unknown dp backend {backend!r}")
+    logw = np.ascontiguousarray(_log_weights(matrix).T, dtype=np.float64)
+    order = _pathpure.frontier_order(logw)
+    if order is None:
+        order = _dense_order(logw)
     return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="dp")
 
 

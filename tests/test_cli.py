@@ -563,15 +563,6 @@ class TestBenchCommand:
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(2, 13)]
         assert all(float(r[1]) >= 0 for r in rows[1:])
 
-    def test_compare_mode_times_each_backend(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["bench", "--max-k", "4", "--trials", "1", "--compare"])
-        assert result.exit_code == 0
-        rows = list(csv.reader(io.StringIO(result.output)))
-        assert rows[0] == ["k", "backend", "milliseconds"]
-        backends = {r[1] for r in rows[1:]}
-        assert "pure" in backends
-
     def test_max_k_beyond_cap_exits_2(self):
         runner = CliRunner()
         assert runner.invoke(main, ["bench", "--max-k", "23"]).exit_code == 2

@@ -1,20 +1,11 @@
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import pathlib
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from themepath import pathfinding
+from themepath import _pathpure, pathfinding
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix, build_transition_matrix
 from themepath.pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
@@ -41,23 +32,22 @@ def log_weights(matrix: TransitionMatrix) -> np.ndarray:
         return np.log(matrix.probs)
 
 
-def successors(matrix: TransitionMatrix, backend: str) -> tuple[np.ndarray, np.ndarray]:
-    """One kernel's (succ, final) for the matrix, as solve_dp calls it.
+def successors(matrix: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The dense kernel's (succ, final) for the matrix, as solve_dp calls it.
 
-    succ starts as -1 everywhere, so cells a kernel does not define compare
-    equal only if neither kernel writes them.
+    succ starts as -1 everywhere, so the cells the kernel leaves alone stay -1.
     """
     k = matrix.k
     succ = np.full((1 << k, k), -1, dtype=np.int8)
     final = np.full(k, np.nan)
-    pathfinding._kernel(backend).fill_successors(np.ascontiguousarray(log_weights(matrix).T), succ, final)
+    _pathpure.fill_successors(np.ascontiguousarray(log_weights(matrix).T), succ, final)
     return succ, final
 
 
-def reach_masks(matrix: TransitionMatrix, backend: str) -> np.ndarray:
-    """One kernel's reach masks for the matrix, from a buffer of all-ones words."""
+def reach_masks(matrix: TransitionMatrix) -> np.ndarray:
+    """The dense kernel's reach masks for the matrix, from a buffer of all-ones words."""
     reach = np.full(1 << matrix.k, 0xFFFFFFFF, dtype=np.uint32)
-    pathfinding._kernel(backend).fill_reach(np.ascontiguousarray(log_weights(matrix).T), reach)
+    _pathpure.fill_reach(np.ascontiguousarray(log_weights(matrix).T), reach)
     return reach
 
 
@@ -102,17 +92,14 @@ class TestSolveDp:
         assert path.order == [0, 1, 2, 3]
         assert path.log_prob == -math.inf
 
-    @pytest.mark.parametrize("backend", ["compiled", "pure"])
-    def test_no_positive_path_walks_the_first_reachable_suffix(self, request, backend):
+    def test_no_positive_path_walks_the_first_reachable_suffix(self, solver_path):
         # Only 1 -> 3 -> 2 is positive and node 0 touches no edge: no positive path
         # covers every node, and the walk leaves the identity once the suffix
         # {1, 2, 3} has a positive path that starts at its first node.
-        if backend == "compiled":
-            request.getfixturevalue("compiled")
         probs = np.zeros((4, 4))
         probs[1, 3] = probs[3, 2] = 1.0
         matrix = TransitionMatrix(probs, 4, frozenset({0, 2}))
-        path = solve_dp(matrix, backend=backend)
+        path = solve_dp(matrix)
         assert (path.order, path.log_prob, path.method) == ([0, 1, 3, 2], -math.inf, "dp")
         assert (path.order, path.log_prob) == (oracle_solve_dp(matrix).order, -math.inf)
 
@@ -219,7 +206,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_dp_table_semantics(self, k):
-        """The full-table reference and each kernel's final row mean best paths."""
+        """The full-table reference and the dense kernel's final row mean best paths."""
         for matrix in (random_matrix(k, seed=100 + k), sparse_matrix(k, seed=100 + k)):
             table = oracle_dp_table(log_weights(matrix))
             oracle = table_oracle(matrix)
@@ -227,19 +214,15 @@ class TestOracleEquivalence:
             assert np.array_equal(np.isfinite(table), finite)
             assert np.allclose(table[finite], oracle[finite], atol=1e-9)
             start_at = oracle_dp_table(np.ascontiguousarray(log_weights(matrix).T))
-            for backend in pathfinding.available_backends():
-                final = successors(matrix, backend)[1]
-                assert final.tobytes() == start_at[-1].tobytes()
+            final = successors(matrix)[1]
+            assert final.tobytes() == start_at[-1].tobytes()
 
-    @pytest.mark.parametrize("backend", ["compiled", "pure"])
-    def test_dp_orders_equal_the_full_table_walk(self, request, backend):
-        if backend == "compiled":
-            request.getfixturevalue("compiled")
+    def test_dp_orders_equal_the_full_table_walk(self, solver_path):
         for seed in range(80):
             k = 1 + seed % 10
             for matrix in special_matrices(k, seed):
                 old = oracle_solve_dp(matrix)
-                new = solve_dp(matrix, backend=backend)
+                new = solve_dp(matrix)
                 assert (new.order, new.log_prob) == (old.order, old.log_prob)
 
     def test_no_path_matrices_vary_the_suffix_and_leave_the_identity(self):
@@ -253,7 +236,7 @@ class TestOracleEquivalence:
                 assert path.log_prob == -math.inf
                 non_identity += path.order != list(range(k))
                 logw = np.ascontiguousarray(log_weights(matrix).T)
-                prefixes.add(pathfinding._unreachable_prefix(pathfinding._pathpure, logw))
+                prefixes.add(pathfinding._unreachable_prefix(logw))
         assert prefixes == set(range(1, 10))
         assert non_identity >= 20
 
@@ -266,52 +249,6 @@ class TestOracleEquivalence:
             scaled /= scaled.sum(axis=1, keepdims=True)
             rescaled = TransitionMatrix(scaled, 6, frozenset())
             assert solve_dp(rescaled).order == solve_dp(matrix).order
-
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def build_kernel(out_dir: pathlib.Path, env: dict | None = None) -> subprocess.CompletedProcess:
-    """Build the C extension with the project's setup.py into out_dir, not in place."""
-    return subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out_dir), "--build-temp", str(out_dir / "temp")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-
-
-def built_modules(out_dir: pathlib.Path) -> list[pathlib.Path]:
-    candidates = (out_dir / "themepath" / f"_pathcore{suffix}"
-                  for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-    return [path for path in candidates if path.exists()]
-
-
-def needs_compiler() -> None:
-    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(compiler)[0]) is None:
-        pytest.skip(f"no C compiler ({compiler!r}) to build the kernel")
-
-
-@pytest.fixture(scope="module")
-def built_pathcore(tmp_path_factory):
-    """The C kernel compiled into a temporary directory and imported from there."""
-    needs_compiler()
-    out_dir = tmp_path_factory.mktemp("pathcore")
-    proc = build_kernel(out_dir)
-    assert proc.returncode == 0, proc.stderr
-    paths = built_modules(out_dir)
-    assert len(paths) == 1, f"extension not built:\n{proc.stderr}"
-    spec = importlib.util.spec_from_file_location("themepath._pathcore", paths[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def compiled(monkeypatch, built_pathcore):
-    """Make the freshly built kernel the ``compiled`` backend."""
-    monkeypatch.setattr(pathfinding, "_pathcore", built_pathcore)
-    return built_pathcore
 
 
 def sparse_matrix(k: int, seed: int) -> TransitionMatrix:
@@ -361,96 +298,65 @@ def special_matrices(k: int, seed: int) -> list[TransitionMatrix]:
     ]
 
 
+def planted_linear(k: int, seed: int) -> TransitionMatrix:
+    """k themes in order, 40 chunks each, with 3 % of the chunks relabelled at random."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(k), 40)
+    noisy = rng.random(len(labels)) < 0.03
+    labels[noisy] = rng.integers(0, k, size=int(noisy.sum()))
+    return build_transition_matrix(labels.tolist(), k)
+
+
+def refuse(*args):
+    raise AssertionError("the dense pass ran")
+
+
+@pytest.fixture(params=["frontier", "dense"])
+def solver_path(request, monkeypatch):
+    """solve_dp forced down one path: the frontier without a budget, or the dense
+    pass, which a budget of 0 leaves to any matrix with k >= 2."""
+    if request.param == "frontier":
+        monkeypatch.setattr(_pathpure, "FRONTIER_SHARE", math.inf)
+        monkeypatch.setattr(pathfinding, "_dense_order", refuse)
+    else:
+        monkeypatch.setattr(_pathpure, "FRONTIER_SHARE", 0.0)
+    return request.param
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBackends:
     def test_pure_backend_always_available(self):
-        assert "pure" in pathfinding.available_backends()
+        assert pathfinding.available_backends() == ["pure"]
 
-    def test_backends_agree_bit_for_bit(self, compiled):
-        assert pathfinding.available_backends() == ["compiled", "pure"]
-        for seed in range(20):
-            k = 2 + seed % 8
-            matrix = random_matrix(k, seed=seed)
-            a_succ, a_final = successors(matrix, "compiled")
-            b_succ, b_final = successors(matrix, "pure")
-            assert (a_succ.tobytes(), a_final.tobytes()) == (b_succ.tobytes(), b_final.tobytes())
-            a = solve_dp(matrix, backend="compiled")
-            b = solve_dp(matrix, backend="pure")
-            assert a.order == b.order and a.log_prob == b.log_prob
+    def test_unknown_backend_is_refused(self):
+        assert solve_dp(FIXTURE, backend="pure").order == [0, 2, 1]
+        with pytest.raises(ValueError, match="unknown dp backend 'compiled'"):
+            solve_dp(FIXTURE, backend="compiled")
 
 
-class TestCompiledKernel:
-    @pytest.mark.parametrize("k", range(1, 15))
-    def test_table_bytes_equal_pure_kernel(self, compiled, k):
-        """The successor table and the final row, byte for byte."""
-        for matrix in (random_matrix(k, seed=k), sparse_matrix(k, seed=k)):
-            succ, final = successors(matrix, "compiled")
-            pure_succ, pure_final = successors(matrix, "pure")
-            assert succ.tobytes() == pure_succ.tobytes()
-            assert final.tobytes() == pure_final.tobytes()
-
+class TestDenseKernel:
     def test_sparse_matrices_have_zero_rows_and_zero_edges(self):
         matrix = sparse_matrix(9, seed=9)
         assert {0, 3, 6} <= matrix.zero_rows
         for i in set(range(9)) - matrix.zero_rows:
             assert (matrix.probs[i] == 0).any() and matrix.probs[i].sum() == pytest.approx(1.0)
 
-    def test_solve_dp_matches_brute_force(self, compiled):
-        for seed in range(40):
-            k = 1 + seed % 8
-            matrix = random_matrix(k, seed=seed) if seed % 2 else sparse_matrix(k, seed=seed)
-            dp = solve_dp(matrix, backend="compiled")
-            brute = solve_brute_force(matrix)
-            assert (dp.order, dp.log_prob) == (brute.order, brute.log_prob)
-
-    def test_default_backend_is_compiled_once_built(self, compiled):
-        assert pathfinding.default_backend() == "compiled"
-
-    @pytest.mark.parametrize(
-        "logw, table",
-        [
-            # table: the (succ, final) pair of output buffers
-            (np.zeros(15), (np.zeros((8, 3), np.int8), np.zeros(3))),  # weights not k x k
-            (np.zeros((3, 3)), (np.zeros((8, 2), np.int8), np.zeros(3))),  # succ too narrow
-            (np.zeros((3, 3)), (np.zeros((4, 3), np.int8), np.zeros(3))),  # succ too short
-            (np.zeros((3, 3)), (np.zeros((16, 3), np.int8), np.zeros(3))),  # succ too long
-            (np.zeros((26, 26)), (np.zeros(1, np.int8), np.zeros(26))),  # k beyond the cap
-            (np.zeros(0), (np.zeros(0, np.int8), np.zeros(0))),  # k = 0
-            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(2))),  # final too short
-            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(3, np.float32))),  # final too narrow
-        ],
-    )
-    def test_wrong_sized_buffers_raise(self, built_pathcore, logw, table):
-        succ, final = table
-        before = (succ.tobytes(), final.tobytes())
-        with pytest.raises(ValueError, match="do not fit|exceeds the kernel's cap"):
-            built_pathcore.fill_successors(logw, succ, final)
-        assert (succ.tobytes(), final.tobytes()) == before
-
-    def test_read_only_table_is_refused(self, built_pathcore):
-        for read_only in (0, 1):
-            buffers = (np.zeros((8, 3), np.int8), np.zeros(3))
-            buffers[read_only].flags.writeable = False
-            with pytest.raises(TypeError):
-                built_pathcore.fill_successors(np.zeros((3, 3)), *buffers)
-            assert not buffers[0].any() and not buffers[1].any()
-
-    def test_both_kernels_refuse_k_beyond_the_hard_cap(self, built_pathcore):
-        assert built_pathcore.MAX_K == pathfinding._pathpure.MAX_K == DP_HARD_CAP == 22
-        for fill in (built_pathcore.fill_successors, pathfinding._pathpure.fill_successors):
-            succ, final = np.zeros(1, np.int8), np.zeros(23)
-            with pytest.raises(ValueError, match=r"^k=23 exceeds the kernel's cap of 22$"):
-                fill(np.zeros((23, 23)), succ, final)
-            assert not succ.any() and not final.any()
-
     @pytest.mark.parametrize("k", range(1, 13))
-    def test_reach_bytes_equal_pure_kernel(self, compiled, k):
-        """The reach masks, byte for byte, and bit i of reach[S] set iff g[S, i] > -inf."""
+    def test_reach_masks_mark_the_positive_states(self, k):
+        """Bit i of reach[S] is set iff g[S, i] > -inf, and reach[0] is 0."""
         matrices = [random_matrix(k, seed=k), sparse_matrix(k, seed=k), *no_path_matrices(k, seed=k)]
         if k > 1:
             matrices.append(hub_matrix(k))
         for matrix in matrices:
-            reach = reach_masks(matrix, "compiled")
-            assert reach.tobytes() == reach_masks(matrix, "pure").tobytes()
+            reach = reach_masks(matrix)
             start_at = oracle_dp_table(np.ascontiguousarray(log_weights(matrix).T))
             bits = (reach[:, None] >> np.arange(k, dtype=np.uint32)) & 1
             assert reach[0] == 0
@@ -466,81 +372,104 @@ class TestCompiledKernel:
             (np.zeros(0), np.zeros(0, np.uint32)),  # k = 0
         ],
     )
-    def test_wrong_sized_reach_buffers_raise(self, built_pathcore, logw, reach):
-        for fill_reach in (built_pathcore.fill_reach, pathfinding._pathpure.fill_reach):
-            with pytest.raises(ValueError, match="do not fit|does not hold|not k x k"):
-                fill_reach(logw, reach)
-            assert not reach.any()
+    def test_wrong_sized_reach_buffers_raise(self, logw, reach):
+        with pytest.raises(ValueError, match="does not hold|not k x k"):
+            _pathpure.fill_reach(logw, reach)
+        assert not reach.any()
 
-    def test_both_kernels_refuse_reach_beyond_the_hard_cap(self, built_pathcore):
-        for fill_reach in (built_pathcore.fill_reach, pathfinding._pathpure.fill_reach):
-            logw, reach = np.zeros((23, 23)), np.zeros(1, np.uint32)
+    @pytest.mark.parametrize(
+        "logw, table",
+        [
+            # table: the (succ, final) pair of output buffers
+            (np.zeros(15), (np.zeros((8, 3), np.int8), np.zeros(3))),  # weights not k x k
+            (np.zeros((3, 3)), (np.zeros((8, 2), np.int8), np.zeros(3))),  # succ too narrow
+            (np.zeros((3, 3)), (np.zeros((4, 3), np.int8), np.zeros(3))),  # succ too short
+            (np.zeros((3, 3)), (np.zeros((16, 3), np.int8), np.zeros(3))),  # succ too long
+            (np.zeros((26, 26)), (np.zeros(1, np.int8), np.zeros(26))),  # k beyond the cap
+            (np.zeros(0), (np.zeros(0, np.int8), np.zeros(0))),  # k = 0
+            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(2))),  # final too short
+            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(3, np.float32))),  # final too narrow
+        ],
+    )
+    def test_wrong_sized_buffers_raise(self, logw, table):
+        succ, final = table
+        before = (succ.tobytes(), final.tobytes())
+        with pytest.raises(ValueError, match="do not fit|exceeds the kernel's cap|not k x k"):
+            _pathpure.fill_successors(logw, succ, final)
+        assert (succ.tobytes(), final.tobytes()) == before
+
+    def test_kernels_refuse_k_beyond_the_hard_cap(self):
+        assert _pathpure.MAX_K == DP_HARD_CAP == 22
+        logw, succ, final, reach = np.zeros((23, 23)), np.zeros(1, np.int8), np.zeros(23), np.zeros(1, np.uint32)
+        for fill, args in [
+            (_pathpure.fill_successors, (logw, succ, final)),
+            (_pathpure.fill_reach, (logw, reach)),
+            (_pathpure.frontier_order, (logw,)),
+        ]:
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=r"^k=23 exceeds the kernel's cap of 22$"):
-                    fill_reach(logw, reach)
+                    fill(*args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 100_000  # raised before any table was allocated
-            assert not reach.any()
+        assert not succ.any() and not final.any() and not reach.any()
 
-    @pytest.mark.parametrize("backend", ["compiled", "pure"])
-    def test_hub_solve_fills_only_the_suffix(self, request, monkeypatch, backend):
-        """No positive path covers a k = 20 hub; only {19} starts one over its suffix."""
-        if backend == "compiled":
-            request.getfixturevalue("compiled")
-        kernel = pathfinding._kernel(backend)
-        fill = kernel.fill_successors
+    def test_solve_peak_memory_at_k18(self):
+        """A dense solve stays below the old 2^k x k float64 table."""
+        k = 18
+        assert traced_peak(solve_dp, random_matrix(k, seed=18)) < (1 << k) * k * 8
+
+
+class TestFrontier:
+    def test_hub_solve_fills_only_the_suffix(self, monkeypatch, solver_path):
+        """No positive path covers a k = 20 hub; only {19} starts one over its suffix.
+        The dense pass fills that one-node suffix; the frontier fills nothing."""
+        fill = _pathpure.fill_successors
         shapes = []
 
         def recording(logw, succ, final):
             shapes.append((logw.shape, succ.shape, final.shape))
             fill(logw, succ, final)
 
-        monkeypatch.setattr(kernel, "fill_successors", recording)
-        path = solve_dp(hub_matrix(20), backend=backend)
-        assert shapes == [((1, 1), (2, 1), (1,))]
+        monkeypatch.setattr(_pathpure, "fill_successors", recording)
+        path = solve_dp(hub_matrix(20))
+        assert shapes == ([((1, 1), (2, 1), (1,))] if solver_path == "dense" else [])
         assert (path.order, path.log_prob) == (list(range(20)), -math.inf)
 
-    @pytest.mark.parametrize("backend", ["compiled", "pure"])
-    def test_hub_solve_peak_memory_at_k18(self, request, backend):
+    def test_hub_solve_peak_memory_at_k18(self, solver_path):
         """A solve with no positive path stays below the successor table of a full fill."""
-        if backend == "compiled":
-            request.getfixturevalue("compiled")
         k = 18
-        matrix = hub_matrix(k)
-        tracemalloc.start()
-        try:
-            solve_dp(matrix, backend=backend)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (1 << k) * k
+        assert traced_peak(solve_dp, hub_matrix(k)) < (1 << k) * k
 
-    @pytest.mark.parametrize("backend, bound", [("compiled", 0.6), ("pure", 1.0)])
-    def test_solve_peak_memory_at_k18(self, request, backend, bound):
-        """A whole solve stays below a fraction of the old 2^k x k float64 table."""
-        if backend == "compiled":
-            request.getfixturevalue("compiled")
-        k = 18
-        matrix = random_matrix(k, seed=18)
-        tracemalloc.start()
-        try:
-            solve_dp(matrix, backend=backend)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * (1 << k) * k * 8
+    @pytest.mark.parametrize("matrix", [hub_matrix(20), planted_linear(20, seed=2)], ids=["hub", "planted"])
+    def test_sparse_k20_solves_skip_the_dense_pass(self, monkeypatch, matrix):
+        """At the default budget a sparse k = 20 solve runs the frontier alone,
+        within 1 MB: less than the dense pass's 4 MB of reach masks alone.  The
+        hub has no positive path; the planted book has one, over 13,677 states."""
+        monkeypatch.setattr(_pathpure, "fill_reach", refuse)
+        monkeypatch.setattr(_pathpure, "fill_successors", refuse)
+        assert traced_peak(solve_dp, matrix) < 1 << 20
 
-    def test_kernel_builds_without_warnings(self, tmp_path):
-        needs_compiler()
-        env = {**os.environ, "CFLAGS": "-Wall -Wextra -Werror"}
-        proc = build_kernel(tmp_path, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert len(built_modules(tmp_path)) == 1, proc.stderr
+    def test_all_positive_k16_gives_up_within_its_first_layers(self, monkeypatch):
+        grow = _pathpure._grow
+        grown = []
 
-    def test_build_without_compiler_succeeds_with_pure_fallback(self, tmp_path):
-        proc = build_kernel(tmp_path, env={**os.environ, "CC": "/bin/false"})
-        assert proc.returncode == 0, proc.stderr
-        assert built_modules(tmp_path) == []
+        def counting(*args):
+            grown.append(1)
+            return grow(*args)
+
+        monkeypatch.setattr(_pathpure, "_grow", counting)
+        matrix = random_matrix(16, seed=16)
+        assert _pathpure.frontier_order(np.ascontiguousarray(log_weights(matrix).T)) is None
+        assert len(grown) <= 3  # layers 2, 3 and 4 of 16
+
+    def test_planted_linear_k18_order_equals_the_dense_pass(self, monkeypatch):
+        matrix = planted_linear(18, seed=0)
+        logw = np.ascontiguousarray(log_weights(matrix).T)
+        order = _pathpure.frontier_order(logw)
+        assert order is not None
+        assert order == pathfinding._dense_order(logw)
+        monkeypatch.setattr(pathfinding, "_dense_order", refuse)
+        assert solve_dp(matrix).order == order
