@@ -125,6 +125,12 @@ def _index(layers: list, mask: int, node: int) -> int:
     return at if at < len(keys) and keys[at] == mask << 5 | node else -1
 
 
+def _writable(*buffers: np.ndarray) -> None:
+    """Refuse read-only output buffers before any of them is written."""
+    if not all(b.flags.writeable for b in buffers):
+        raise ValueError("an output buffer is read-only")
+
+
 def fill_reach(logw: np.ndarray, reach: np.ndarray) -> None:
     """Fill reach[S] with the nodes that start a positive-probability path over S.
 
@@ -140,6 +146,7 @@ def fill_reach(logw: np.ndarray, reach: np.ndarray) -> None:
         raise ValueError(
             f"a {reach.dtype} array of shape {reach.shape} does not hold 2^k masks for k={k}"
         )
+    _writable(reach)
     nodes = np.arange(k, dtype=np.uint32)
     pos = np.bitwise_or.reduce((logw > -np.inf).astype(np.uint32) << nodes[:, None], axis=0)
     pop = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
@@ -178,6 +185,7 @@ def fill_successors(logw: np.ndarray, succ: np.ndarray, final: np.ndarray) -> No
             f"a {succ.dtype} table of shape {succ.shape} and a final row of shape "
             f"{final.shape} do not fit k={k}"
         )
+    _writable(succ, final)
 
     masks = np.arange(1 << k, dtype=np.int64)
     pop = np.bitwise_count(masks)

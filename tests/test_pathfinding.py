@@ -204,6 +204,15 @@ class TestOracleEquivalence:
             assert dp.order == brute.order
             assert dp.log_prob == pytest.approx(brute.log_prob, abs=1e-9)
 
+    def test_solve_dp_matches_brute_force_exactly(self, solver_path):
+        """Orders and log-probabilities equal the permutation scan's, on random and sparse rows."""
+        for seed in range(40):
+            k = 1 + seed % 8
+            matrix = random_matrix(k, seed=seed) if seed % 2 else sparse_matrix(k, seed=seed)
+            dp = solve_dp(matrix)
+            brute = solve_brute_force(matrix)
+            assert (dp.order, dp.log_prob) == (brute.order, brute.log_prob)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_dp_table_semantics(self, k):
         """The full-table reference and the dense kernel's final row mean best paths."""
@@ -362,6 +371,43 @@ class TestDenseKernel:
             assert reach[0] == 0
             assert np.array_equal(bits[1:] == 1, start_at[1:] > -np.inf)
 
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_successor_table_is_the_first_argmax_of_the_full_table(self, k):
+        """succ[S, i] is the lowest j attaining g[S, i] in the full start-at table, or the
+        lowest j of S\\{i} when every candidate is -inf; other cells stay as they were."""
+        for matrix in (random_matrix(k, seed=k), sparse_matrix(k, seed=k)):
+            weights = np.ascontiguousarray(log_weights(matrix).T)
+            start_at = oracle_dp_table(weights)
+            succ, final = successors(matrix)
+            expected = np.full((1 << k, k), -1, dtype=np.int8)
+            masks = np.arange(1 << k, dtype=np.int64)
+            for i in range(k):
+                with_i = masks[((masks >> i) & 1 == 1) & (np.bitwise_count(masks) >= 2)]
+                prevs = with_i ^ (1 << i)
+                candidates = start_at[prevs] + weights[:, i]
+                arg = candidates.argmax(axis=1)
+                best = candidates[np.arange(len(arg)), arg]
+                assert best.tobytes() == start_at[with_i, i].tobytes()
+                lowest = np.bitwise_count((prevs & -prevs) - 1)
+                expected[with_i, i] = np.where(best == -np.inf, lowest, arg)
+            assert succ.tobytes() == expected.tobytes()
+            assert final.tobytes() == start_at[-1].tobytes()
+
+    @pytest.mark.parametrize("read_only", ["succ", "final"])
+    def test_read_only_table_is_refused(self, read_only):
+        buffers = {"succ": np.zeros((8, 3), np.int8), "final": np.zeros(3)}
+        buffers[read_only].flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            _pathpure.fill_successors(np.zeros((3, 3)), buffers["succ"], buffers["final"])
+        assert not buffers["succ"].any() and not buffers["final"].any()
+
+    def test_read_only_reach_is_refused(self):
+        reach = np.zeros(8, np.uint32)
+        reach.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            _pathpure.fill_reach(np.zeros((3, 3)), reach)
+        assert not reach.any()
+
     @pytest.mark.parametrize(
         "logw, reach",
         [
@@ -451,6 +497,24 @@ class TestFrontier:
         monkeypatch.setattr(_pathpure, "fill_reach", refuse)
         monkeypatch.setattr(_pathpure, "fill_successors", refuse)
         assert traced_peak(solve_dp, matrix) < 1 << 20
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            tied_matrix((np.random.default_rng(15).random((15, 15)) < 0.3).astype(np.float64)),
+            planted_linear(16, seed=1),
+            tied_matrix(np.random.default_rng(13).integers(0, 2, size=(13, 13)).astype(np.float64)),
+            *no_path_matrices(14, seed=14),
+        ],
+        ids=["sparse", "planted", "tied", "no-path-out", "no-path-in"],
+    )
+    def test_frontier_and_dense_pass_agree_beyond_the_oracles(self, monkeypatch, matrix):
+        """Past the oracles' reach the two paths give the same order, and so the same bits."""
+        monkeypatch.setattr(_pathpure, "FRONTIER_SHARE", math.inf)
+        logw = np.ascontiguousarray(log_weights(matrix).T)
+        order = _pathpure.frontier_order(logw)
+        assert order == pathfinding._dense_order(logw)
+        assert sorted(order) == list(range(matrix.k))
 
     def test_all_positive_k16_gives_up_within_its_first_layers(self, monkeypatch):
         grow = _pathpure._grow
