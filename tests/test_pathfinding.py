@@ -1,14 +1,16 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from themepath import _pathpure, pathfinding
+from themepath import pathfinding
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix, build_transition_matrix
 from themepath.pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
+from themepath.pipeline import first_appearance_order
 
 from oracles import oracle_dp_table, oracle_solve_dp, solve_brute_force
 
@@ -33,22 +35,13 @@ def log_weights(matrix: TransitionMatrix) -> np.ndarray:
 
 
 def successors(matrix: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The dense kernel's (succ, final) for the matrix, as solve_dp calls it.
-
-    succ starts as -1 everywhere, so the cells the kernel leaves alone stay -1.
-    """
-    k = matrix.k
-    succ = np.full((1 << k, k), -1, dtype=np.int8)
-    final = np.full(k, np.nan)
-    _pathpure.fill_successors(np.ascontiguousarray(log_weights(matrix).T), succ, final)
-    return succ, final
+    """The dense pass's (succ, final) for the matrix, as solve_dp calls it."""
+    return pathfinding._successors(np.ascontiguousarray(log_weights(matrix).T))
 
 
 def reach_masks(matrix: TransitionMatrix) -> np.ndarray:
-    """The dense kernel's reach masks for the matrix, from a buffer of all-ones words."""
-    reach = np.full(1 << matrix.k, 0xFFFFFFFF, dtype=np.uint32)
-    _pathpure.fill_reach(np.ascontiguousarray(log_weights(matrix).T), reach)
-    return reach
+    """The dense pass's reach masks for the matrix."""
+    return pathfinding._reach(np.ascontiguousarray(log_weights(matrix).T))
 
 
 def hub_matrix(k: int) -> TransitionMatrix:
@@ -124,6 +117,22 @@ class TestSolveDp:
             finally:
                 tracemalloc.stop()
             assert peak < 100_000, backend  # raised before any table was allocated
+
+    @pytest.mark.parametrize(
+        "probs", [np.full((4, 4), 0.25), np.full((30, 30), 1 / 30), np.zeros(9)], ids=["4x4", "30x30", "1-D"]
+    )
+    def test_probs_not_k_by_k_are_refused_before_any_fill(self, monkeypatch, probs):
+        """The shape of probs, not k alone, is checked: a 4 x 4 matrix with k = 3 is not
+        solved as k = 4, nor a 30 x 30 one refused as past the cap."""
+        for stage in ("_frontier_order", "_reach", "_successors"):
+            monkeypatch.setattr(pathfinding, stage, refuse)
+        shape = re.escape(str(probs.shape))
+        with pytest.raises(ValueError, match=rf"^probs of shape {shape} are not 3 x 3$"):
+            solve_dp(TransitionMatrix(probs, 3, frozenset()))
+
+    def test_k_zero_is_refused(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            solve_dp(TransitionMatrix(np.zeros((0, 0)), 0, frozenset()))
 
     def test_zero_row_from_terminal_cluster_is_handled(self):
         matrix = build_transition_matrix([0, 0, 1, 2], 3)
@@ -244,8 +253,11 @@ class TestOracleEquivalence:
                 path = oracle_solve_dp(matrix)
                 assert path.log_prob == -math.inf
                 non_identity += path.order != list(range(k))
-                logw = np.ascontiguousarray(log_weights(matrix).T)
-                prefixes.add(pathfinding._unreachable_prefix(logw))
+                # The suffix start from the full start-at table: the smallest t
+                # at which a positive path over {t, ..., k-1} starts at t.
+                g = oracle_dp_table(np.ascontiguousarray(log_weights(matrix).T))
+                full = (1 << k) - 1
+                prefixes.add(next(t for t in range(k) if g[full >> t << t, t] > -np.inf))
         assert prefixes == set(range(1, 10))
         assert non_identity >= 20
 
@@ -316,6 +328,20 @@ def planted_linear(k: int, seed: int) -> TransitionMatrix:
     return build_transition_matrix(labels.tolist(), k)
 
 
+def aside_book(seed: int) -> TransitionMatrix:
+    """18 themes in order, 40 chunks each, with 10 % of the chunks relabelled at random.
+    Chunks 130 and 135 are one-chunk asides, clusters 18 and 19, with theme 3 on both
+    sides of each.  Numbered by first appearance, as the pipeline's path stage does."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(18), 40)
+    noisy = rng.random(len(labels)) < 0.1
+    labels[noisy] = rng.integers(0, 18, size=int(noisy.sum()))
+    labels[[129, 131, 134, 136]] = 3
+    labels[130], labels[135] = 18, 19
+    seen = {c: n for n, c in enumerate(first_appearance_order(labels))}
+    return build_transition_matrix([seen[int(c)] for c in labels], 20)
+
+
 def refuse(*args):
     raise AssertionError("the dense pass ran")
 
@@ -325,10 +351,10 @@ def solver_path(request, monkeypatch):
     """solve_dp forced down one path: the frontier without a budget, or the dense
     pass, which a budget of 0 leaves to any matrix with k >= 2."""
     if request.param == "frontier":
-        monkeypatch.setattr(_pathpure, "FRONTIER_SHARE", math.inf)
+        monkeypatch.setattr(pathfinding, "FRONTIER_SHARE", math.inf)
         monkeypatch.setattr(pathfinding, "_dense_order", refuse)
     else:
-        monkeypatch.setattr(_pathpure, "FRONTIER_SHARE", 0.0)
+        monkeypatch.setattr(pathfinding, "FRONTIER_SHARE", 0.0)
     return request.param
 
 
@@ -374,12 +400,11 @@ class TestDenseKernel:
     @pytest.mark.parametrize("k", range(1, 15))
     def test_successor_table_is_the_first_argmax_of_the_full_table(self, k):
         """succ[S, i] is the lowest j attaining g[S, i] in the full start-at table, or the
-        lowest j of S\\{i} when every candidate is -inf; other cells stay as they were."""
+        lowest j of S\\{i} when every candidate is -inf."""
         for matrix in (random_matrix(k, seed=k), sparse_matrix(k, seed=k)):
             weights = np.ascontiguousarray(log_weights(matrix).T)
             start_at = oracle_dp_table(weights)
             succ, final = successors(matrix)
-            expected = np.full((1 << k, k), -1, dtype=np.int8)
             masks = np.arange(1 << k, dtype=np.int64)
             for i in range(k):
                 with_i = masks[((masks >> i) & 1 == 1) & (np.bitwise_count(masks) >= 2)]
@@ -389,78 +414,9 @@ class TestDenseKernel:
                 best = candidates[np.arange(len(arg)), arg]
                 assert best.tobytes() == start_at[with_i, i].tobytes()
                 lowest = np.bitwise_count((prevs & -prevs) - 1)
-                expected[with_i, i] = np.where(best == -np.inf, lowest, arg)
-            assert succ.tobytes() == expected.tobytes()
+                expected = np.where(best == -np.inf, lowest, arg).astype(np.int8)
+                assert succ[with_i, i].tobytes() == expected.tobytes()
             assert final.tobytes() == start_at[-1].tobytes()
-
-    @pytest.mark.parametrize("read_only", ["succ", "final"])
-    def test_read_only_table_is_refused(self, read_only):
-        buffers = {"succ": np.zeros((8, 3), np.int8), "final": np.zeros(3)}
-        buffers[read_only].flags.writeable = False
-        with pytest.raises(ValueError, match="read-only"):
-            _pathpure.fill_successors(np.zeros((3, 3)), buffers["succ"], buffers["final"])
-        assert not buffers["succ"].any() and not buffers["final"].any()
-
-    def test_read_only_reach_is_refused(self):
-        reach = np.zeros(8, np.uint32)
-        reach.flags.writeable = False
-        with pytest.raises(ValueError, match="read-only"):
-            _pathpure.fill_reach(np.zeros((3, 3)), reach)
-        assert not reach.any()
-
-    @pytest.mark.parametrize(
-        "logw, reach",
-        [
-            (np.zeros(15), np.zeros(8, np.uint32)),  # weights not k x k
-            (np.zeros((3, 3)), np.zeros(4, np.uint32)),  # too few masks
-            (np.zeros((3, 3)), np.zeros(16, np.uint32)),  # too many masks
-            (np.zeros((3, 3)), np.zeros(8, np.uint16)),  # masks too narrow
-            (np.zeros(0), np.zeros(0, np.uint32)),  # k = 0
-        ],
-    )
-    def test_wrong_sized_reach_buffers_raise(self, logw, reach):
-        with pytest.raises(ValueError, match="does not hold|not k x k"):
-            _pathpure.fill_reach(logw, reach)
-        assert not reach.any()
-
-    @pytest.mark.parametrize(
-        "logw, table",
-        [
-            # table: the (succ, final) pair of output buffers
-            (np.zeros(15), (np.zeros((8, 3), np.int8), np.zeros(3))),  # weights not k x k
-            (np.zeros((3, 3)), (np.zeros((8, 2), np.int8), np.zeros(3))),  # succ too narrow
-            (np.zeros((3, 3)), (np.zeros((4, 3), np.int8), np.zeros(3))),  # succ too short
-            (np.zeros((3, 3)), (np.zeros((16, 3), np.int8), np.zeros(3))),  # succ too long
-            (np.zeros((26, 26)), (np.zeros(1, np.int8), np.zeros(26))),  # k beyond the cap
-            (np.zeros(0), (np.zeros(0, np.int8), np.zeros(0))),  # k = 0
-            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(2))),  # final too short
-            (np.zeros((3, 3)), (np.zeros((8, 3), np.int8), np.zeros(3, np.float32))),  # final too narrow
-        ],
-    )
-    def test_wrong_sized_buffers_raise(self, logw, table):
-        succ, final = table
-        before = (succ.tobytes(), final.tobytes())
-        with pytest.raises(ValueError, match="do not fit|exceeds the kernel's cap|not k x k"):
-            _pathpure.fill_successors(logw, succ, final)
-        assert (succ.tobytes(), final.tobytes()) == before
-
-    def test_kernels_refuse_k_beyond_the_hard_cap(self):
-        assert _pathpure.MAX_K == DP_HARD_CAP == 22
-        logw, succ, final, reach = np.zeros((23, 23)), np.zeros(1, np.int8), np.zeros(23), np.zeros(1, np.uint32)
-        for fill, args in [
-            (_pathpure.fill_successors, (logw, succ, final)),
-            (_pathpure.fill_reach, (logw, reach)),
-            (_pathpure.frontier_order, (logw,)),
-        ]:
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match=r"^k=23 exceeds the kernel's cap of 22$"):
-                    fill(*args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 100_000  # raised before any table was allocated
-        assert not succ.any() and not final.any() and not reach.any()
 
     def test_solve_peak_memory_at_k18(self):
         """A dense solve stays below the old 2^k x k float64 table."""
@@ -472,14 +428,15 @@ class TestFrontier:
     def test_hub_solve_fills_only_the_suffix(self, monkeypatch, solver_path):
         """No positive path covers a k = 20 hub; only {19} starts one over its suffix.
         The dense pass fills that one-node suffix; the frontier fills nothing."""
-        fill = _pathpure.fill_successors
+        fill = pathfinding._successors
         shapes = []
 
-        def recording(logw, succ, final):
+        def recording(logw):
+            succ, final = fill(logw)
             shapes.append((logw.shape, succ.shape, final.shape))
-            fill(logw, succ, final)
+            return succ, final
 
-        monkeypatch.setattr(_pathpure, "fill_successors", recording)
+        monkeypatch.setattr(pathfinding, "_successors", recording)
         path = solve_dp(hub_matrix(20))
         assert shapes == ([((1, 1), (2, 1), (1,))] if solver_path == "dense" else [])
         assert (path.order, path.log_prob) == (list(range(20)), -math.inf)
@@ -494,8 +451,8 @@ class TestFrontier:
         """At the default budget a sparse k = 20 solve runs the frontier alone,
         within 1 MB: less than the dense pass's 4 MB of reach masks alone.  The
         hub has no positive path; the planted book has one, over 13,677 states."""
-        monkeypatch.setattr(_pathpure, "fill_reach", refuse)
-        monkeypatch.setattr(_pathpure, "fill_successors", refuse)
+        monkeypatch.setattr(pathfinding, "_reach", refuse)
+        monkeypatch.setattr(pathfinding, "_successors", refuse)
         assert traced_peak(solve_dp, matrix) < 1 << 20
 
     @pytest.mark.parametrize(
@@ -510,30 +467,49 @@ class TestFrontier:
     )
     def test_frontier_and_dense_pass_agree_beyond_the_oracles(self, monkeypatch, matrix):
         """Past the oracles' reach the two paths give the same order, and so the same bits."""
-        monkeypatch.setattr(_pathpure, "FRONTIER_SHARE", math.inf)
+        monkeypatch.setattr(pathfinding, "FRONTIER_SHARE", math.inf)
         logw = np.ascontiguousarray(log_weights(matrix).T)
-        order = _pathpure.frontier_order(logw)
+        order = pathfinding._frontier_order(logw)
         assert order == pathfinding._dense_order(logw)
         assert sorted(order) == list(range(matrix.k))
 
     def test_all_positive_k16_gives_up_within_its_first_layers(self, monkeypatch):
-        grow = _pathpure._grow
+        grow = pathfinding._grow
         grown = []
 
         def counting(*args):
             grown.append(1)
             return grow(*args)
 
-        monkeypatch.setattr(_pathpure, "_grow", counting)
+        monkeypatch.setattr(pathfinding, "_grow", counting)
         matrix = random_matrix(16, seed=16)
-        assert _pathpure.frontier_order(np.ascontiguousarray(log_weights(matrix).T)) is None
+        assert pathfinding._frontier_order(np.ascontiguousarray(log_weights(matrix).T)) is None
         assert len(grown) <= 3  # layers 2, 3 and 4 of 16
 
     def test_planted_linear_k18_order_equals_the_dense_pass(self, monkeypatch):
         matrix = planted_linear(18, seed=0)
         logw = np.ascontiguousarray(log_weights(matrix).T)
-        order = _pathpure.frontier_order(logw)
+        order = pathfinding._frontier_order(logw)
         assert order is not None
         assert order == pathfinding._dense_order(logw)
         monkeypatch.setattr(pathfinding, "_dense_order", refuse)
         assert solve_dp(matrix).order == order
+
+    def test_aside_book_gives_up_and_fills_a_short_suffix(self, monkeypatch):
+        """A noisy k = 20 book has too many positive states for the frontier's budget.
+        Its two asides leave no positive path, so the dense pass fills one suffix of
+        at most 9 nodes after the reach pass, and walks the unbudgeted frontier's order."""
+        matrix = aside_book(seed=1)
+        fill = pathfinding._successors
+        sides = []
+
+        def recording(logw):
+            sides.append(logw.shape)
+            return fill(logw)
+
+        monkeypatch.setattr(pathfinding, "_successors", recording)
+        path = solve_dp(matrix)
+        assert len(sides) == 1 and sides[0][0] == sides[0][1] <= 9
+        assert path.log_prob == -math.inf
+        monkeypatch.setattr(pathfinding, "FRONTIER_SHARE", math.inf)
+        assert path.order == pathfinding._frontier_order(np.ascontiguousarray(log_weights(matrix).T))
