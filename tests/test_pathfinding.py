@@ -119,7 +119,17 @@ class TestSolveDp:
             assert peak < 100_000, backend  # raised before any table was allocated
 
     @pytest.mark.parametrize(
-        "probs", [np.full((4, 4), 0.25), np.full((30, 30), 1 / 30), np.zeros(9)], ids=["4x4", "30x30", "1-D"]
+        "probs",
+        [
+            np.full((4, 4), 0.25),
+            np.full((30, 30), 1 / 30),
+            np.zeros(9),
+            np.full((3, 4), 0.25),
+            np.full((2, 2), 0.5),
+            np.full((3, 3, 1), 1 / 3),
+            np.zeros((0, 0)),
+        ],
+        ids=["4x4", "30x30", "1-D", "3x4", "2x2", "3-D", "0x0"],
     )
     def test_probs_not_k_by_k_are_refused_before_any_fill(self, monkeypatch, probs):
         """The shape of probs, not k alone, is checked: a 4 x 4 matrix with k = 3 is not
@@ -418,6 +428,16 @@ class TestDenseKernel:
                 assert succ[with_i, i].tobytes() == expected.tobytes()
             assert final.tobytes() == start_at[-1].tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 9, 14])
+    def test_dense_tables_are_sized_by_the_weights(self, k):
+        """The dense pass allocates its own tables: 2^k reach masks, a 2^k x k int8
+        successor table, and k final values that do not hold the fill's layer buffers."""
+        reach = reach_masks(random_matrix(k, seed=k))
+        succ, final = successors(random_matrix(k, seed=k))
+        assert (reach.shape, reach.dtype) == ((1 << k,), np.uint32)
+        assert (succ.shape, succ.dtype) == ((1 << k, k), np.int8)
+        assert (final.shape, final.dtype, final.base) == ((k,), np.float64, None)
+
     def test_solve_peak_memory_at_k18(self):
         """A dense solve stays below the old 2^k x k float64 table."""
         k = 18
@@ -495,11 +515,12 @@ class TestFrontier:
         monkeypatch.setattr(pathfinding, "_dense_order", refuse)
         assert solve_dp(matrix).order == order
 
-    def test_aside_book_gives_up_and_fills_a_short_suffix(self, monkeypatch):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_aside_book_gives_up_and_fills_a_short_suffix(self, monkeypatch, seed):
         """A noisy k = 20 book has too many positive states for the frontier's budget.
         Its two asides leave no positive path, so the dense pass fills one suffix of
         at most 9 nodes after the reach pass, and walks the unbudgeted frontier's order."""
-        matrix = aside_book(seed=1)
+        matrix = aside_book(seed)
         fill = pathfinding._successors
         sides = []
 
