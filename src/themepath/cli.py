@@ -229,7 +229,7 @@ def cmd_inspect(artifact_path, what):
 def cmd_bench(max_k, trials, out_path):
     """Median DP solve time per k on random row-stochastic matrices."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "milliseconds"])
     writer.writerows(bench_rows(max_k, trials))
     text = buf.getvalue()

@@ -3,7 +3,8 @@
 The RNG is numpy's PCG64 (``np.random.default_rng``), so partitions are
 reproducible for a given seed.  Distances are Euclidean; on the unit
 vectors produced by the embeddings module that ordering is equivalent to
-cosine similarity.
+cosine similarity.  ``kmeans`` lowers k to the number of distinct rows and
+numbers the clusters by first appearance in chunk order (labels[0] is 0).
 
 Each Lloyd step computes the (n, k) squared distances through the
 expansion ||x||^2 - 2 x.c^T + ||c||^2: one matrix product, clamped at 0
@@ -94,16 +95,16 @@ def _seed_centroids(
     return centroids
 
 
-def _check_feasible(vectors: np.ndarray, k: int, n_distinct: int | None = None) -> None:
+def _feasible_k(vectors: np.ndarray, k: int) -> int:
+    """min(k, the number of distinct rows).
+
+    k distinct rows among the first k settle it without sorting all n rows.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n_distinct is None:
-        # k distinct rows among the first k settle it without sorting all n rows.
-        if distinct_count(vectors[:k]) == k:
-            return
-        n_distinct = distinct_count(vectors)
-    if k > n_distinct:
-        raise InfeasibleError(f"k={k} exceeds the {n_distinct} distinct vectors available")
+    if distinct_count(vectors[:k]) == k:
+        return k
+    return min(k, distinct_count(vectors))
 
 
 def kmeanspp_seed(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -113,7 +114,9 @@ def kmeanspp_seed(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
     otherwise some draw would have zero probability mass everywhere.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    _check_feasible(vectors, k)
+    available = _feasible_k(vectors, k)
+    if available < k:
+        raise InfeasibleError(f"k={k} exceeds the {available} distinct vectors available")
     return _seed_centroids(vectors, k, np.random.default_rng(seed), _squared_norms(vectors))
 
 
@@ -125,18 +128,18 @@ def kmeans(
     tol: float = 1e-6,
     init_centroids: np.ndarray | None = None,
     n_init: int = 10,
-    n_distinct: int | None = None,
 ) -> ClusterAssignment:
     """Best of n_init seeded k-means++ starts, each refined by Lloyd iterations.
 
     All starts draw from one generator seeded with ``seed``, so the result is
     deterministic; the lowest-inertia run wins (earlier run kept on ties).
     Passing init_centroids runs Lloyd once from exactly those centroids.
-    A caller that has counted the distinct rows passes the count as
-    ``n_distinct``, and the feasibility check counts none itself.
+    k is lowered to the number of distinct rows; the result's ``k`` is the
+    one used.  Clusters are numbered by first appearance: the first chunk's
+    cluster is 0, the first chunk outside it starts cluster 1, and so on.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    _check_feasible(vectors, k, n_distinct)
+    k = _feasible_k(vectors, k)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     norms = _squared_norms(vectors)
@@ -146,17 +149,24 @@ def kmeans(
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=np.float64, copy=True)
         if centroids.shape != (k, vectors.shape[1]):
-            raise ValueError("init_centroids shape mismatch")
-        return _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, mean, total_ss, work)
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
-    rng = np.random.default_rng(seed)
-    best: ClusterAssignment | None = None
-    for _ in range(n_init):
-        centroids = _seed_centroids(vectors, k, rng, norms)
-        run = _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, mean, total_ss, work)
-        if best is None or run.inertia < best.inertia:
-            best = run
+            raise ValueError(f"init_centroids of shape {centroids.shape} are not {k} x {vectors.shape[1]}")
+        best = _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, mean, total_ss, work)
+    else:
+        if n_init < 1:
+            raise ValueError("n_init must be >= 1")
+        rng = np.random.default_rng(seed)
+        best = None
+        for _ in range(n_init):
+            centroids = _seed_centroids(vectors, k, rng, norms)
+            run = _lloyd(vectors, k, centroids, max_iters, tol, seed, norms, mean, total_ss, work)
+            if best is None or run.inertia < best.inertia:
+                best = run
+    # Lloyd leaves no cluster empty, so the first appearances are a permutation of range(k).
+    order = list(dict.fromkeys(best.labels.tolist()))
+    rank = np.empty(k, dtype=best.labels.dtype)
+    rank[order] = np.arange(k)
+    best.labels = rank[best.labels]
+    best.centroids = best.centroids[order]
     return best
 
 

@@ -1,8 +1,8 @@
 """Run configuration: a flat key = value file with ${ENV} interpolation.
 
-The dataclasses are the schema: every constructor field is a key. Top-level
-``RunConfig`` fields and chunker fields are bare keys (``seed``,
-``chunk_size``); provider fields are ``embedding.<field>`` and
+The dataclasses are the schema: every field but ``env_templates`` is a
+key. Top-level ``RunConfig`` fields and chunker fields are bare keys
+(``seed``, ``chunk_size``); provider fields are ``embedding.<field>`` and
 ``llm.<field>`` (``llm.timeout``). A value is converted to its field's
 annotated type (``int``, ``float``, ``bool``; ``str`` stays as given).
 
@@ -45,8 +45,9 @@ class RunConfig:
     out_dir: str = "runs"
     # (section, field) -> (text as written, value parsed from it) for every
     # setting that spliced in an environment variable; "" is the top level.
+    # A constructor field, so dataclasses.replace carries it, but not a key.
     env_templates: dict[tuple[str, str], tuple[str, object]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, repr=False, compare=False, metadata={"key": False}
     )
 
     def __post_init__(self):
@@ -135,9 +136,10 @@ def _plain_type(hint) -> type:
 
 
 def _settable_fields(cls) -> list[tuple[str, type]]:
-    """(name, type) of every field of dataclass ``cls`` that its constructor takes."""
+    """(name, type) of every field of dataclass ``cls`` that is a config key."""
     hints = typing.get_type_hints(cls)
-    return [(f.name, _plain_type(hints[f.name])) for f in fields(cls) if f.init]
+    keys = [f for f in fields(cls) if f.metadata.get("key", True)]
+    return [(f.name, _plain_type(hints[f.name])) for f in keys]
 
 
 _CONVERTERS = {int: _to_int, float: _to_float, bool: _to_bool}
@@ -173,14 +175,13 @@ def config_from_mapping(values: dict[str, str]) -> RunConfig:
             env_templates[(section, name)] = (raw.template, value)
 
     try:
-        cfg = RunConfig(
+        return RunConfig(
             **{section: cls(**kwargs[section]) for section, cls in sections.items()},
             **kwargs[""],
+            env_templates=env_templates,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.env_templates = env_templates
-    return cfg
 
 
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -33,9 +33,11 @@ choice of start and end node.
   the full-table walk starts at node 0 and takes the lowest remaining node
   for as long as its value is -inf: the order is 0, 1, ..., t-1 for the
   smallest t at which a positive path over {t, ..., k-1} starts at t, then
-  the walk of that suffix from t.  The dense pass then fills only the k - t
-  suffix nodes: its cells depend only on the weights among them, and
-  numbering them 0, ..., k-t-1 keeps their order, so the walk is the same.
+  the walk of that suffix from t.  ``kmeans`` numbers the clusters by first
+  appearance, so on a pipeline matrix that prefix is in document order.
+  The dense pass then fills only the k - t suffix nodes: its cells depend
+  only on the weights among them, and numbering them 0, ..., k-t-1 keeps
+  their order, so the walk is the same.
   Two one-chunk asides inside one theme's section leave no positive path;
   the fill is then a suffix of a few nodes and costs little beyond the
   reach pass.

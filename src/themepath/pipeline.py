@@ -2,13 +2,12 @@
 
 ``markov-cluster`` is the full pipeline: chunk, embed, cluster, pick
 representatives, estimate the transition matrix from the chunk-order label
-sequence, solve the most probable Hamiltonian path over the clusters (ties
-going to their order of first appearance), summarize each cluster, and
-aggregate the summaries in path order.
-``cluster-sum`` is identical except the summaries are aggregated in first-
-appearance order of the clusters, with no sequence model.  ``llm-full``
-sends the whole document to the provider in one call (stitching it in
-pieces when it exceeds the provider's context budget).
+sequence, solve the most probable Hamiltonian path over the clusters,
+summarize each cluster, and aggregate the summaries in path order.
+``kmeans`` numbers the clusters by first appearance, so path ties go to
+document order, and ``cluster-sum``, identical but for the sequence model,
+aggregates in cluster order.  ``llm-full`` sends the whole document to the
+provider in one call (stitching it when it exceeds the context budget).
 
 Every stage is timed and failures are re-raised tagged with the stage
 name.  With the deterministic embedder and the mock provider the returned
@@ -22,16 +21,14 @@ import time
 from dataclasses import asdict
 from typing import Callable
 
-import numpy as np
-
 from . import artifact as artifact_mod
 from .chunking import chunk_document
-from .clustering import choose_k, distinct_count, kmeans, representatives
+from .clustering import choose_k, kmeans, representatives
 from .config import MODES, RunConfig
 from .embeddings import embed_batch
 from .errors import PipelineStageError
-from .markov import TransitionMatrix, build_transition_matrix
-from .pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
+from .markov import build_transition_matrix
+from .pathfinding import DP_HARD_CAP, solve_dp, solve_greedy
 from .summarize import aggregate_final, summarize_clusters, summarize_full_document
 
 Progress = Callable[[str], None] | None
@@ -58,10 +55,6 @@ class _Stages:
         return result
 
 
-def first_appearance_order(labels) -> list[int]:
-    return list(dict.fromkeys(int(label) for label in labels))
-
-
 def run_pipeline(
     document: str, mode: str, cfg: RunConfig, progress: Progress = None
 ) -> artifact_mod.RunArtifact:
@@ -86,24 +79,13 @@ def run_pipeline(
         result.timings = stages.timings
         return result
 
+    # A document with a non-whitespace character has at least one token, so at least one chunk.
     chunks = stages.run("chunk", lambda: chunk_document(document, cfg.chunker))
-    if not chunks:
-        raise PipelineStageError("chunk", ValueError("document produced no chunks"))
-
     texts = [c.text for c in chunks]
     vectors = stages.run("embed", lambda: embed_batch(texts, cfg.embedding))
-
-    def cluster_stage():
-        k = choose_k(len(chunks), cfg.k)
-        n_distinct = None
-        # k distinct rows among the first k need no count of all n rows; a count
-        # made here spares kmeans its own.
-        if distinct_count(vectors[:k]) < k:
-            n_distinct = distinct_count(vectors)
-            k = min(k, n_distinct)
-        return kmeans(vectors, k, cfg.seed, n_distinct=n_distinct)
-
-    assignment = stages.run("cluster", cluster_stage)
+    assignment = stages.run(
+        "cluster", lambda: kmeans(vectors, choose_k(len(chunks), cfg.k), cfg.seed)
+    )
     reps = stages.run("representatives", lambda: representatives(assignment, vectors, cfg.top_k))
 
     labels = [int(x) for x in assignment.labels]
@@ -121,22 +103,15 @@ def run_pipeline(
             matrix.probs, matrix.k, matrix.zero_rows
         )
 
-        def path_stage():
-            # The solvers break ties by lowest index. Numbered by first appearance, a tie
-            # (every path crossing a zero edge, say) goes to document order, not label order.
-            seen = first_appearance_order(labels)
-            zero_rows = frozenset(seen.index(c) for c in matrix.zero_rows)
-            path = (solve_dp if matrix.k <= DP_HARD_CAP else solve_greedy)(
-                TransitionMatrix(matrix.probs[np.ix_(seen, seen)], matrix.k, zero_rows)
-            )
-            order = [seen[i] for i in path.order]
-            log_prob = artifact_mod.encode_log_prob(path_probability(matrix, order))
-            return {"order": order, "log_prob": log_prob, "method": path.method}
-
-        result.path = stages.run("path", path_stage)
-        summary_order = result.path["order"]
+        # The solvers break ties by lowest index; with clusters numbered by first
+        # appearance, a tie (every path crossing a zero edge, say) goes to document order.
+        solve = solve_dp if matrix.k <= DP_HARD_CAP else solve_greedy
+        path = stages.run("path", lambda: solve(matrix))
+        log_prob = artifact_mod.encode_log_prob(path.log_prob)
+        result.path = {"order": path.order, "log_prob": log_prob, "method": path.method}
+        summary_order = path.order
     else:
-        summary_order = first_appearance_order(labels)
+        summary_order = range(assignment.k)
 
     summaries = stages.run("summarize_clusters", lambda: summarize_clusters(reps, texts, cfg.llm))
     ordered = [summaries[c] for c in summary_order]

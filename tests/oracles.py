@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,12 +11,7 @@ import re
 import numpy as np
 
 from themepath.chunking import Chunk, ChunkerConfig, TokenSequence
-from themepath.clustering import (
-    ClusterAssignment,
-    _check_feasible,
-    _squared_distances,
-    _squared_norms,
-)
+from themepath.clustering import ClusterAssignment, _squared_distances, _squared_norms
 from themepath.embeddings import _TEST_HASH_SEED, TEST_PROVIDER_DIM, normalize
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix
@@ -210,17 +206,23 @@ def oracle_kmeans(
     """k-means with masked-mean updates and the plain inertia after every Lloyd step.
 
     Best of n_init k-means++ starts drawn from one generator seeded with
-    ``seed``; the lowest-inertia run wins, the earlier one on ties.
+    ``seed``; the lowest-inertia run wins, the earlier one on ties.  k is
+    first lowered to the number of distinct rows, all of them counted, and
+    the winner's clusters are renumbered by first appearance.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    _check_feasible(vectors, k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    k = min(k, len(np.unique(vectors, axis=0)))
     norms = _squared_norms(vectors)
     work = np.empty_like(vectors)
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=np.float64, copy=True)
         if centroids.shape != (k, vectors.shape[1]):
             raise ValueError("init_centroids shape mismatch")
-        return _oracle_lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
+        return _oracle_first_appearance(
+            _oracle_lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
+        )
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
     rng = np.random.default_rng(seed)
@@ -230,7 +232,19 @@ def oracle_kmeans(
         run = _oracle_lloyd(vectors, k, centroids, max_iters, tol, seed, norms, work)
         if best is None or run.inertia < best.inertia:
             best = run
-    return best
+    return _oracle_first_appearance(best)
+
+
+def _oracle_first_appearance(run: ClusterAssignment) -> ClusterAssignment:
+    """The same partition, each cluster renamed to the number of clusters seen before it."""
+    ids: dict[int, int] = {}
+    for label in run.labels.tolist():
+        ids.setdefault(label, len(ids))
+    centroids = np.empty_like(run.centroids)
+    for old, new in ids.items():
+        centroids[new] = run.centroids[old]
+    labels = np.array([ids[label] for label in run.labels.tolist()], dtype=np.int64)
+    return dataclasses.replace(run, labels=labels, centroids=centroids)
 
 
 def _oracle_lloyd(

@@ -92,6 +92,19 @@ class TestChunkerConfig:
 
 
 class TestChunkDocument:
+    @given(
+        st.text(max_size=40),
+        st.characters(codec="utf-8").filter(lambda c: not c.isspace()),
+        st.text(max_size=40),
+        st.integers(1, 8),
+    )
+    @example("\x1c\x85\u2028", "\u200b", "\u3000\x1f", 1)
+    def test_text_with_a_non_whitespace_character_has_a_chunk(self, before, char, after, size):
+        # run_pipeline accepts any document that survives strip() and relies on this
+        text = before + char + after
+        assert text.strip()
+        assert chunk_document(text, ChunkerConfig(size, 0))
+
     def test_exact_fit_single_chunk(self):
         chunks = chunk_document(make_doc(500), ChunkerConfig(500, 20))
         assert len(chunks) == 1

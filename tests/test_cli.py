@@ -557,6 +557,8 @@ class TestBenchCommand:
         runner = CliRunner()
         result = runner.invoke(main, ["bench", "--max-k", "12", "--trials", "1"])
         assert result.exit_code == 0, result.output
+        assert result.stdout_bytes.startswith(b"k,milliseconds\n2,")
+        assert result.stdout_bytes.count(b"\n") == 12 and b"\r" not in result.stdout_bytes
         rows = list(csv.reader(io.StringIO(result.output)))
         assert rows[0] == ["k", "milliseconds"]
         assert len(rows) == 1 + 11  # header + k = 2..12
@@ -580,7 +582,9 @@ class TestBenchCommand:
         runner = CliRunner()
         result = runner.invoke(main, ["bench", "--max-k", "3", "--trials", "1", "--out", str(out)])
         assert result.exit_code == 0
-        assert out.read_text().startswith("k,milliseconds")
+        raw = out.read_bytes()
+        assert raw.startswith(b"k,milliseconds\n2,")
+        assert raw.count(b"\n") == 3 and b"\r" not in raw
 
     def test_closed_stdout_exits_1_without_an_error_line(self):
         args = ["bench", "--max-k", "3", "--trials", "1"]

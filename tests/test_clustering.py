@@ -96,37 +96,34 @@ class TestSeeding:
 
 class TestDistinctCount:
     @staticmethod
-    def record_calls(monkeypatch, module):
+    def record_calls(monkeypatch):
         rows: list[int] = []
 
         def recording(vectors):
             rows.append(len(vectors))
             return distinct_count(vectors)
 
-        monkeypatch.setattr(module, "distinct_count", recording)
+        monkeypatch.setattr(clustering, "distinct_count", recording)
         return rows
 
     def test_kmeans_checks_only_a_prefix_when_it_has_k_distinct_rows(self, monkeypatch):
-        rows = self.record_calls(monkeypatch, clustering)
+        rows = self.record_calls(monkeypatch)
         kmeans(topic_vectors(0, n=60, d=8), 5, seed=0, n_init=1)
         assert rows == [5]
 
-    def test_infeasible_k_counts_all_rows_once(self, monkeypatch):
-        rows = self.record_calls(monkeypatch, clustering)
-        with pytest.raises(InfeasibleError):
-            kmeans(np.array([[1.0], [1.0], [2.0], [2.0]]), 3, seed=0)
+    def test_k_beyond_the_distinct_rows_counts_all_rows_once_and_is_lowered(self, monkeypatch):
+        rows = self.record_calls(monkeypatch)
+        result = kmeans(np.array([[1.0], [1.0], [2.0], [2.0]]), 3, seed=0)
         assert rows == [3, 4]
+        assert result.k == 2 and result.labels.tolist() == [0, 0, 1, 1]
 
-    def test_a_given_count_replaces_the_feasibility_count(self, monkeypatch):
-        points = np.array([[0.0], [0.0], [0.0], [1.0], [2.0]])
-        expected = kmeans(points, 3, seed=0)
-        rows = self.record_calls(monkeypatch, clustering)
-        given = kmeans(points, 3, seed=0, n_distinct=3)
-        assert np.array_equal(given.labels, expected.labels)
-        assert given.centroids.tobytes() == expected.centroids.tobytes()
-        with pytest.raises(InfeasibleError, match=r"^k=3 exceeds the 2 distinct vectors available$"):
-            kmeans(points[:4], 3, seed=0, n_distinct=2)
-        assert rows == []
+    def test_a_lowered_k_gives_the_partition_of_that_k(self):
+        points = np.array([[0.0], [0.0], [0.0], [1.0]])
+        lowered, direct = kmeans(points, 3, seed=0), kmeans(points, 2, seed=0)
+        assert lowered.k == direct.k == 2
+        assert lowered.labels.tobytes() == direct.labels.tobytes()
+        assert lowered.centroids.tobytes() == direct.centroids.tobytes()
+        assert lowered.inertia == direct.inertia
 
     @staticmethod
     def run_cluster_sum(document):
@@ -136,30 +133,27 @@ class TestDistinctCount:
         return pipeline.run_pipeline(document, "cluster-sum", cfg)
 
     def test_cluster_stage_counts_a_k_row_prefix(self, monkeypatch):
-        rows = self.record_calls(monkeypatch, clustering)
-        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        rows = self.record_calls(monkeypatch)
         self.run_cluster_sum(make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"]))
-        assert rows_in_pipeline == [3]
         assert rows == [3]
 
     def test_repeated_leading_rows_count_all_rows_once_in_the_pipeline(self, monkeypatch):
-        rows = self.record_calls(monkeypatch, clustering)
-        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        rows = self.record_calls(monkeypatch)
         first = make_topic_document(seed=9, topic_order=["delta"], chunks_per_topic=1)
         rest = make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"])
         result = self.run_cluster_sum(" ".join([first] * 3 + [rest]))
         n = len(result.chunks)
         assert n == 15 and len(set(result.labels)) == 3
-        assert rows_in_pipeline == [3, n]
-        assert rows == []  # kmeans takes the pipeline's count instead of making its own
+        assert rows == [3, n]
 
     def test_cluster_stage_lowers_k_to_the_distinct_rows(self, monkeypatch):
-        rows_in_pipeline = self.record_calls(monkeypatch, pipeline)
+        rows = self.record_calls(monkeypatch)
         first = make_topic_document(seed=9, topic_order=["delta"], chunks_per_topic=1)
         second = make_topic_document(seed=8, topic_order=["alpha"], chunks_per_topic=1)
         result = self.run_cluster_sum(" ".join([first, first, second, first]))
-        assert rows_in_pipeline == [3, 4]
-        assert sorted(set(result.labels)) == [0, 1]
+        assert rows == [3, 4]
+        assert result.labels == [0, 0, 1, 0]
+        assert [s["cluster_id"] for s in result.cluster_summaries] == [0, 1]
 
 
 class TestSquaredDistances:
@@ -270,6 +264,12 @@ class TestKmeansOracle:
             assert_matches_oracle(grid, 4, seed)
             assert_matches_oracle(wide, 10, seed)
 
+    def test_k_beyond_the_distinct_count_is_lowered(self):
+        grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] * 3)
+        for seed in range(5):
+            assert_matches_oracle(grid, 7, seed)
+            assert_matches_oracle(grid[:6], 5, seed, init_centroids=grid[:4])
+
     def test_empty_cluster_reseed(self):
         vectors = topic_vectors(4, n=60)
         init = vectors[:5].copy()
@@ -289,7 +289,28 @@ class TestKmeansOracle:
         assert_matches_oracle(shifted, 8, 0, init_centroids=kmeanspp_seed(shifted, 8, seed=3))
 
 
+def first_appearances(labels) -> list[int]:
+    return list(dict.fromkeys(np.asarray(labels).tolist()))
+
+
 class TestKmeans:
+    def test_clusters_are_numbered_by_first_appearance(self):
+        for seed in range(5):
+            for k in (2, 12, 22):
+                result = kmeans(topic_vectors(seed, n=150), k, seed)
+                assert first_appearances(result.labels) == list(range(k))
+        grid = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]] * 3)
+        wide = np.repeat(topic_vectors(12, n=10), 3, axis=0)[np.random.default_rng(12).permutation(30)]
+        for seed in range(10):
+            for points, k, used in ((grid, 4, 4), (grid, 6, 4), (wide, 10, 10), (wide, 12, 10)):
+                result = kmeans(points, k, seed)
+                assert result.k == used
+                assert first_appearances(result.labels) == list(range(used))
+                # each centroid is its cluster's mean, so it moved with its label
+                assert result.centroids.tobytes() == np.array(
+                    [points[result.labels == c].mean(axis=0) for c in range(used)]
+                ).tobytes()
+
     def test_two_identical_pairs_zero_inertia(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.0]])
         result = kmeans(points, 2, seed=0)
@@ -341,6 +362,11 @@ class TestKmeans:
     def test_seed_recorded(self):
         result = kmeans(LINE_POINTS, 2, seed=77)
         assert result.seed == 77 and result.k == 2
+
+    def test_init_centroids_must_match_the_lowered_k(self):
+        points = np.array([[0.0], [0.0], [1.0]])
+        with pytest.raises(ValueError, match=r"^init_centroids of shape \(3, 1\) are not 2 x 1$"):
+            kmeans(points, 3, seed=0, init_centroids=np.zeros((3, 1)))
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match=r"^max_iters must be >= 1$"):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -182,6 +183,15 @@ class TestConfigParsing:
         assert snap["llm"]["endpoint"] == "https://h/v1?key=${SECRET_K}"
         assert snap["seed"] == "${RUN_SEED}"
         assert "hunter2" not in json.dumps(snap)
+
+    def test_snapshot_keeps_the_templates_through_dataclasses_replace(self, monkeypatch):
+        monkeypatch.setenv("SECRET", "s3cr3t")
+        cfg = config_from_mapping(parse_config_text("llm.endpoint = http://${SECRET}@h/v1"))
+        copy = dataclasses.replace(cfg, seed=2)
+        assert copy.llm.endpoint == "http://s3cr3t@h/v1"
+        assert copy.snapshot()["llm"]["endpoint"] == cfg.snapshot()["llm"]["endpoint"] == "http://${SECRET}@h/v1"
+        assert copy.snapshot()["seed"] == 2
+        assert "s3cr3t" not in json.dumps(copy.snapshot())
 
     def test_snapshot_records_a_value_set_after_parsing(self, monkeypatch):
         monkeypatch.setenv("RUNS_ROOT", "/tmp/elsewhere")

@@ -10,7 +10,6 @@ from themepath import pathfinding
 from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix, build_transition_matrix
 from themepath.pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
-from themepath.pipeline import first_appearance_order
 
 from oracles import oracle_dp_table, oracle_solve_dp, solve_brute_force
 
@@ -341,14 +340,14 @@ def planted_linear(k: int, seed: int) -> TransitionMatrix:
 def aside_book(seed: int) -> TransitionMatrix:
     """18 themes in order, 40 chunks each, with 10 % of the chunks relabelled at random.
     Chunks 130 and 135 are one-chunk asides, clusters 18 and 19, with theme 3 on both
-    sides of each.  Numbered by first appearance, as the pipeline's path stage does."""
+    sides of each.  Numbered by first appearance, as kmeans numbers clusters."""
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(18), 40)
     noisy = rng.random(len(labels)) < 0.1
     labels[noisy] = rng.integers(0, 18, size=int(noisy.sum()))
     labels[[129, 131, 134, 136]] = 3
     labels[130], labels[135] = 18, 19
-    seen = {c: n for n, c in enumerate(first_appearance_order(labels))}
+    seen = {c: n for n, c in enumerate(dict.fromkeys(labels.tolist()))}
     return build_transition_matrix([seen[int(c)] for c in labels], 20)
 
 

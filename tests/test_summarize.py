@@ -13,7 +13,7 @@ from themepath.config import RunConfig
 from themepath.errors import PipelineStageError, ProtocolError
 from themepath.markov import TransitionMatrix
 from themepath.pathfinding import DP_HARD_CAP, solve_greedy
-from themepath.pipeline import first_appearance_order, run_pipeline
+from themepath.pipeline import run_pipeline
 from themepath.summarize import (
     LlmProviderConfig,
     SECTION_DELIMITER,
@@ -212,8 +212,8 @@ class TestRunPipeline:
         result = run_pipeline(document, "cluster-sum", pipeline_config(seed=2, mode="cluster-sum"))
         assert result.path is None
         assert result.transition_matrix is None
-        expected = first_appearance_order(result.labels)
-        assert [s["cluster_id"] for s in result.cluster_summaries] == expected
+        assert list(dict.fromkeys(result.labels)) == [0, 1, 2]
+        assert [s["cluster_id"] for s in result.cluster_summaries] == [0, 1, 2]
 
     def test_every_cluster_summarized_exactly_once(self):
         document = make_topic_document(seed=3, topic_order=["alpha", "gamma", "beta"])
@@ -303,10 +303,9 @@ class TestRunPipeline:
         data = greedy.transition_matrix
         assert (data["k"], greedy.path["method"]) == (DP_HARD_CAP + 1, "greedy")
         matrix = TransitionMatrix(np.array(data["probs"]), data["k"], frozenset(data["zero_rows"]))
-        # The pipeline solves with the clusters numbered by first appearance, then maps back.
-        seen = first_appearance_order(greedy.labels)
-        permuted = TransitionMatrix(matrix.probs[np.ix_(seen, seen)], matrix.k, frozenset())
-        assert greedy.path["order"] == [seen[i] for i in solve_greedy(permuted).order]
+        # The pipeline solves the matrix as built, its clusters numbered by first appearance.
+        assert list(dict.fromkeys(greedy.labels)) == list(range(DP_HARD_CAP + 1))
+        assert greedy.path["order"] == solve_greedy(matrix).order
 
         # At the cap the pipeline calls solve_dp; a stand-in spares the 2^22-cell table.
         solved = []
@@ -315,9 +314,9 @@ class TestRunPipeline:
         assert solved == [DP_HARD_CAP]
 
     def test_order_without_a_positive_path_is_first_appearance(self, monkeypatch):
-        """When every order crosses a zero edge, the tie goes to document order, not label order."""
-        # A hub (3) between three excursions (1, 0, 2): every path puts two excursions side by side.
-        labels = [3, 3, 1, 1, 3, 3, 0, 0, 3, 3, 2, 2, 3, 3]
+        """When every order crosses a zero edge, the tie goes to document order."""
+        # A hub (0) between three excursions (1, 2, 3): every path puts two excursions side by side.
+        labels = [0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3, 0, 0]
         document = make_topic_document(seed=4, topic_order=["alpha", "beta"], chunks_per_topic=7)
         kmeans = pipeline.kmeans
         monkeypatch.setattr(
@@ -328,7 +327,18 @@ class TestRunPipeline:
         result = run_pipeline(document, "markov-cluster", pipeline_config(seed=4, k=4))
         assert result.labels == labels
         assert decode_log_prob(result.path["log_prob"]) == float("-inf")
-        assert result.path["order"] == first_appearance_order(labels) == [3, 1, 0, 2]
+        assert result.path["order"] == [0, 1, 2, 3]
+
+    def test_hub_document_without_a_positive_path_summarizes_in_document_order(self):
+        """The same hub, clustered by the real kmeans from a document of four topics."""
+        topics = ["alpha", "beta", "alpha", "gamma", "alpha", "delta", "alpha"]
+        document = make_topic_document(seed=4, topic_order=topics, chunks_per_topic=2)
+        result = run_pipeline(document, "markov-cluster", pipeline_config(seed=4, k=4))
+        assert result.labels == [0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3, 0, 0]
+        assert decode_log_prob(result.path["log_prob"]) == float("-inf")
+        assert result.path["order"] == [0, 1, 2, 3]
+        themes = [s["summary_text"].split()[0].rstrip("0123456789") for s in result.cluster_summaries]
+        assert themes == ["alpha", "beta", "gamma", "delta"]
 
     @pytest.mark.parametrize("mode", ["cluster-sum", "llm-full"])
     def test_artifact_config_records_the_mode_that_ran(self, mode):
