@@ -5,10 +5,14 @@ letters/digits form one token, every other non-whitespace character is its
 own token.  The pipeline only depends on token counts and chunk boundaries,
 not on any particular subword vocabulary.
 
-``chunk_document`` and ``count_tokens`` take the tokens one match at a
-time from a single ``finditer`` walk over the text.  Besides its output, a
-call holds one match at a time, whatever the whitespace: memory does not
-grow with the length of the document or of its runs without whitespace.
+``chunk_document`` and ``count_tokens`` pass over the tokens inside the
+regex engine: one anchored match of a counted repeat steps from one chunk
+boundary to the next, and makes no Python object for the tokens between.
+A skip longer than ``_PIECE`` tokens is cut into several matches, since
+the engine keeps state for every repetition until a match returns.
+Besides its output, a call so holds at most one piece's match state,
+whatever the whitespace: memory does not grow with the length of the
+document, of its runs without whitespace or of a chunk.
 """
 
 from __future__ import annotations
@@ -16,11 +20,17 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 
 # One capture group: split() returns gap, token, gap, ..., token, gap, so
 # token t is parts[2t + 1]; findall() returns the tokens alone.
 _TOKEN_RE = re.compile(r"([^\W_]+|[^\w\s]|_)")
+
+# The most tokens one counted match passes.  sre keeps about 230 bytes per
+# repetition until the match returns: 0.23 MB here, over 20 MB for a skip
+# of 100k tokens.
+_PIECE = 1024
 
 
 @dataclass
@@ -83,13 +93,55 @@ def _utf8_len(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
+@lru_cache(maxsize=None)
+def _skip_re(n: int) -> re.Pattern:
+    """A pattern that passes n tokens, then matches the next as group "token".
+
+    Every non-whitespace character lands in a token, so the gaps between
+    tokens are exactly runs of \\s.  The lookahead and backreference make a
+    letter run atomic; without them the repeat could split a run into
+    several tokens to reach its count.  Atomic groups and possessive
+    quantifiers would do the same, but need Python 3.11.
+    """
+    token = r"[^\W_]+|[^\w\s]|_"
+    return re.compile(rf"(?:\s*(?:(?=(?P<run>[^\W_]+))(?P=run)|[^\w\s]|_)){{{n}}}\s*(?P<token>{token})")
+
+
+def _walk(text: str, pos: int, n: int) -> tuple[int, int, re.Match | None]:
+    """Pass n tokens from character pos on, then match the next one.
+
+    Returns (tokens passed, character offset just past the last of them,
+    the match).  Whole pieces are passed first, one match each.  When the
+    text runs out, the match is None, and the count and offset are those
+    of the last whole piece passed.
+    """
+    passed = 0
+    while n - passed >= _PIECE:
+        piece = _skip_re(_PIECE - 1).match(text, pos)
+        if piece is None:
+            return passed, pos, None
+        passed, pos = passed + _PIECE, piece.end()
+    return passed, pos, _skip_re(n - passed).match(text, pos)
+
+
 def _count_from(text: str, pos: int) -> tuple[int, int]:
     """(tokens of text from character pos on, character offset just past the last).
 
-    The offset is pos itself when there are none.
+    The offset is pos itself when there are none.  Up to one piece is
+    walked match by match, so a shorter text is walked once.  Past that,
+    whole pieces are passed one match each, and only what is left after
+    them, less than a piece, is walked twice.
     """
-    last = deque(enumerate(_TOKEN_RE.finditer(text, pos), 1), maxlen=1)
-    return (last[0][0], last[0][1].end()) if last else (0, pos)
+    count = 0
+    while True:  # twice at most: the pieces leave less than a piece
+        last = deque(enumerate(islice(_TOKEN_RE.finditer(text, pos), _PIECE), 1), maxlen=1)
+        if not last:
+            return count, pos
+        count, pos = count + last[0][0], last[0][1].end()
+        if last[0][0] < _PIECE:
+            return count, pos
+        while piece := _skip_re(_PIECE - 1).match(text, pos):
+            count, pos = count + _PIECE, piece.end()
 
 
 def count_tokens(text: str) -> int:
@@ -104,14 +156,14 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
     even when short so no token is dropped.  A document with no tokens
     yields no chunks.
 
-    One match iterator walks the text, and islice skips it from each chunk
-    boundary to the next.  A chunk opens at its first token, recording that
-    token's index, character offset and UTF-8 offset, and closes at its last
-    token, taking its text as one slice of the document; the overlap keeps
-    up to ceil(chunk_size / stride) open at once.
+    Counted matches (``_walk``) step from each chunk boundary to the next,
+    each anchored where the previous one ended.  A chunk opens at its first
+    token, recording that token's index, character offset and UTF-8 offset,
+    and closes at its last token, taking its text as one slice of the
+    document; the overlap keeps up to ceil(chunk_size / stride) open at
+    once.
     """
     size, stride = cfg.chunk_size, cfg.chunk_size - cfg.overlap
-    matches = _TOKEN_RE.finditer(text)
     chunks: list[Chunk] = []
     opened: deque[tuple[int, int, int]] = deque()  # (token, char, byte) of each open chunk
     total = 0  # tokens the walk has passed
@@ -133,18 +185,19 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
         # same token, and a chunk may open where an older one closes.
         next_open = (len(chunks) + len(opened)) * stride
         target = min(next_open, opened[0][0] + size - 1) if opened else next_open
-        match = next(islice(matches, target - total, None), None)
+        passed, last_end, match = _walk(text, last_end, target - total)
+        total += passed
         if match is None:
             break
         total, last_end = target + 1, match.end()
         if target == next_open:
-            byte_pos += _utf8_len(text[byte_char : match.start()])
-            byte_char = match.start()
+            byte_pos += _utf8_len(text[byte_char : match.start("token")])
+            byte_char = match.start("token")
             opened.append((target, byte_char, byte_pos))
         if opened[0][0] + size - 1 == target:
             close(total, last_end)
-    # The walk ran out before its target; count the tokens it skipped past
-    # the last stop, fewer than one chunk's worth.
+    # The walk ran out before its target; count the tokens past the last
+    # stop, fewer than one chunk's worth.
     count, last_end = _count_from(text, last_end)
     total += count
     # The chunks still open run past the last token.  The oldest of them is

@@ -2,10 +2,11 @@
 
 Two providers share one contract ("texts in, one vector per text out"):
 
-* ``deterministic-test`` hashes token features into a fixed 64-dim vector,
-  hashing each distinct token once per call.  It is bit-stable across
-  processes and platforms, which makes every downstream stage testable
-  offline.
+* ``deterministic-test`` hashes token features into a fixed 64-dim vector.
+  It counts a text's whitespace-separated words, sums the features of each
+  distinct word's tokens once per call, and weighs those sums by the
+  counts.  It is bit-stable across processes and platforms, which makes
+  every downstream stage testable offline.
 * ``remote`` speaks the OpenAI-compatible embeddings contract, with retry
   and exponential backoff: it posts ``{"model": ..., "input": [texts]}``
   and reads ``data[i].embedding``.  Each reply is decoded into one
@@ -83,33 +84,50 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
 
 
-def _token_feature(token: str) -> tuple[int, float]:
+def _token_feature(token: str) -> tuple[int, int]:
     """The (index, sign) one token adds to a test vector.
 
     Uses sha256 so the result is identical on every platform and process
     (Python's built-in hash() is salted and would not be).
     """
     digest = hashlib.sha256(_TEST_HASH_SEED + token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM, 1.0 if digest[4] & 1 else -1.0
+    return int.from_bytes(digest[:4], "little") % TEST_PROVIDER_DIM, 1 if digest[4] & 1 else -1
 
 
 def _test_vectors(texts: list[str]) -> list[np.ndarray]:
     """Feature-hash each text's lowercased tokens into 64 dims, sum, normalize.
 
-    Each distinct token is hashed once per call.  Every entry is a sum of
-    +-1 terms, exact in float64, so the order of summation does not change
-    a bit of the result.
+    No token spans whitespace, and ``str.split`` splits at exactly the
+    characters ``\\s`` matches, so a text's tokens are those of its words.
+    Each distinct word's feature sum is computed once per call, hashing
+    each distinct token once per call; a text's vector is its word counts
+    times those sums.  Every entry is an integer, exact in float64, so the
+    bits are those of adding one +-1 term per token.
     """
-    features: dict[str, tuple[int, float]] = {}
+    features: dict[str, tuple[int, int]] = {}
+    word_ids: dict[str, int] = {}
+    # Row word_ids[w] is word w's feature sum.  int32, since one word may be
+    # a whole chunk of a document without whitespace.  Grown by doubling.
+    table = np.zeros((256, TEST_PROVIDER_DIM), dtype=np.int32)
     vectors = []
     for text in texts:
-        vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)
-        for token, count in Counter(split_tokens(text.lower())).items():
-            feature = features.get(token)
-            if feature is None:
-                feature = features[token] = _token_feature(token)
-            idx, sign = feature
-            vec[idx] += sign * count
+        counts = Counter(text.lower().split())
+        for word in counts.keys() - word_ids.keys():
+            if len(word_ids) == len(table):
+                table = np.concatenate([table, np.zeros_like(table)])
+            row = table[len(word_ids)]
+            word_ids[word] = len(word_ids)
+            for token in split_tokens(word):
+                feature = features.get(token)
+                if feature is None:
+                    feature = features[token] = _token_feature(token)
+                idx, sign = feature
+                row[idx] += sign
+        ids = np.fromiter(map(word_ids.__getitem__, counts), dtype=np.intp, count=len(counts))
+        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        # Every partial sum is an integer below 2**53, so BLAS adds them exactly
+        # in whatever order and with however many threads it uses.
+        vec = weights @ table[ids].astype(np.float64)
         if not vec.any():
             # No tokens, or exact sign cancellation: fall back to a basis vector
             # derived from the whole text so the output is never degenerate.
@@ -239,7 +257,7 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
             missing = list(range(len(texts)))
 
         if cfg.kind == "deterministic-test":
-            # One call for all misses, so each distinct token is hashed once.
+            # One call for all misses, so each distinct word is summed once.
             provider, batch_size = _test_vectors, max(len(missing), 1)
         else:
             provider, batch_size = partial(_remote_call, cfg=cfg), cfg.batch_size

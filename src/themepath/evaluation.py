@@ -92,8 +92,12 @@ def split_sentences(text: str) -> list[str]:
 
 
 def first_sentence(text: str) -> str:
-    sentences = split_sentences(text)
-    return sentences[0] if sentences else ""
+    """split_sentences(text)[0], or "" when it has none, read up to the first sentence end.
+
+    The first piece is never empty, since it holds the terminator.
+    """
+    end = _SENTENCE_END.search(text)
+    return (text[: end.end()] if end else text).strip()
 
 
 def coherence(text: str, embed_cfg: EmbeddingProviderConfig) -> CoherenceScore:

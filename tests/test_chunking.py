@@ -1,9 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import oracle_chunk_document, oracle_tokenize
+from themepath import chunking
 from themepath.chunking import (
     Chunk,
     ChunkerConfig,
@@ -208,7 +210,33 @@ LONG_TEXTS = {
 
 
 class TestMatchWalk:
-    """chunk_document and count_tokens take the tokens from one finditer walk."""
+    """chunk_document and count_tokens pass the tokens in counted regex matches.
+
+    Each match passes at most ``chunking._PIECE`` tokens; the tests below
+    also shrink the piece to a few tokens, so that a short text takes the
+    same paths as a long one.
+    """
+
+    @given(seam_text | unicode_text, st.integers(1, 4))
+    @example("abc de\u3000fgh, ij", 1)
+    @example("ab cdef", 2)
+    def test_small_pieces_match_the_oracle(self, text, piece):
+        with mock.patch.object(chunking, "_PIECE", piece):
+            assert count_tokens(text) == len(oracle_tokenize(text))
+            for chunk_size in range(1, 9):
+                for overlap in range(chunk_size):
+                    cfg = ChunkerConfig(chunk_size, overlap)
+                    assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+
+    def test_a_letter_run_at_the_end_is_never_split(self):
+        # A counted repeat that may backtrack into a letter run reaches its
+        # count by cutting "cdef" or the last run of b into several tokens.
+        assert count_tokens("abcdef") == 1
+        chunks = chunk_document("ab cdef", ChunkerConfig(3, 0))
+        assert [(c.text, c.token_span) for c in chunks] == [("ab cdef", (0, 2))]
+        text = "a " * 1500 + "b" * 3000
+        assert count_tokens(text) == 1501
+        assert chunk_document(text, ChunkerConfig(2000, 0)) == oracle_chunk_document(text, ChunkerConfig(2000, 0))
 
     @pytest.mark.parametrize(
         "text",
@@ -234,18 +262,20 @@ class TestMatchWalk:
         assert count_tokens(text) == 4
         assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
 
+    @pytest.mark.parametrize("cfg", [ChunkerConfig(), ChunkerConfig(130_000, 0)], ids=["default", "130k"])
     @pytest.mark.parametrize("kind", LONG_TEXTS)
-    def test_memory_beyond_the_chunks_stays_under_2_mb(self, kind):
+    def test_memory_beyond_the_chunks_stays_under_2_mb(self, kind, cfg):
         text = LONG_TEXTS[kind]
         tracemalloc.start()
         try:
-            chunks = chunk_document(text, ChunkerConfig())
+            chunks = chunk_document(text, cfg)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert chunks[-1].token_span[1] == 400_000
         # Splitting the whole text at once holds about 25 MB beyond the chunks,
         # and splitting it at whitespace 17.8 MB on the whitespace-free text.
+        # One counted match over a 130k-token skip holds 16-26 MB.
         assert peak - retained < 2_000_000
 
     @pytest.mark.parametrize("kind", LONG_TEXTS)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import logging
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -154,12 +155,30 @@ class TestAgainstPerTokenOracle:
             ["İstanbul ΣΊΣΥΦΟΣ STRASSE straße", "istanbul σίσυφος strasse"],
             ["   ", "\t\n", "x"],
             [_cancelling_text()],
+            # One word of 40,000 tokens: its feature sums overflow int8 and int16.
+            ["," * 40_000, "x" + "_" * 40_000, "w," * 20_000],
+            ["Alpha ALPHA alpha aLpHa", "STRASSE Straße strasse", "alpha. Alpha."],
+            ["a\u3000b\x1cc\x1dd\x1ee\x1ff\x85g\u2028h", "\u3000a.\u2028A\x85"],
         ],
-        ids=["topic-chunks", "lowercasing", "whitespace-only", "cancelling-signs"],
+        ids=[
+            "topic-chunks",
+            "lowercasing",
+            "whitespace-only",
+            "cancelling-signs",
+            "40k-token-word",
+            "case-only",
+            "unusual-whitespace",
+        ],
     )
     def test_bit_identical_to_per_token_hashing(self, texts):
         want = np.stack([per_token_test_vector(t) for t in texts])
         assert np.stack(_test_vectors(texts)).tobytes() == want.tobytes()
+
+    def test_str_split_breaks_exactly_where_the_tokenizer_sees_whitespace(self):
+        # The embedder counts str.split words and tokenizes each one alone.
+        chars = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
+        assert [c for c in chars if c.isspace()] == re.findall(r"\s", chars)
+        assert "".join(chars.split()) == re.sub(r"\s", "", chars)
 
     def test_cancelling_text_takes_the_fallback_basis_vector(self):
         assert np.count_nonzero(_test_vector(_cancelling_text())) == 1

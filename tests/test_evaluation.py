@@ -10,6 +10,7 @@ from themepath.evaluation import (
     _metric_tokens,
     coherence,
     evaluate_corpus,
+    first_sentence,
     render_table,
     rouge_n,
     split_sentences,
@@ -109,6 +110,17 @@ class TestSplitSentences:
 
     def test_terminator_inside_token_does_not_split(self):
         assert split_sentences("See example.com now. Done.") == ["See example.com now.", "Done."]
+
+    @given(
+        st.text(max_size=80)
+        | st.lists(st.sampled_from(["Ab", "c", ".", "!?", "..", " ", "\n", "\t", "\u3000", "x.y"]), max_size=20).map("".join)
+    )
+    @example("")
+    @example(" \n ")
+    @example("  ... Next one. Last")
+    @example("No end at all")
+    def test_first_sentence_is_the_first_piece(self, text):
+        assert first_sentence(text) == (split_sentences(text) or [""])[0]
 
 
 class TestCoherence:
