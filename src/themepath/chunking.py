@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 
+_TOKEN = r"[^\W_]+|[^\w\s]|_"
 # One capture group: split() returns gap, token, gap, ..., token, gap, so
 # token t is parts[2t + 1]; findall() returns the tokens alone.
-_TOKEN_RE = re.compile(r"([^\W_]+|[^\w\s]|_)")
+_TOKEN_RE = re.compile(f"({_TOKEN})")
 
 # The most tokens one counted match passes.  sre keeps about 230 bytes per
 # repetition until the match returns: 0.23 MB here, over 20 MB for a skip
@@ -103,8 +104,7 @@ def _skip_re(n: int) -> re.Pattern:
     several tokens to reach its count.  Atomic groups and possessive
     quantifiers would do the same, but need Python 3.11.
     """
-    token = r"[^\W_]+|[^\w\s]|_"
-    return re.compile(rf"(?:\s*(?:(?=(?P<run>[^\W_]+))(?P=run)|[^\w\s]|_)){{{n}}}\s*(?P<token>{token})")
+    return re.compile(rf"(?:\s*(?:(?=(?P<run>[^\W_]+))(?P=run)|[^\w\s]|_)){{{n}}}\s*(?P<token>{_TOKEN})")
 
 
 def _walk(text: str, pos: int, n: int) -> tuple[int, int, re.Match | None]:

@@ -235,8 +235,9 @@ class TestMatchWalk:
         chunks = chunk_document("ab cdef", ChunkerConfig(3, 0))
         assert [(c.text, c.token_span) for c in chunks] == [("ab cdef", (0, 2))]
         text = "a " * 1500 + "b" * 3000
+        cfg = ChunkerConfig(2000, 0)
         assert count_tokens(text) == 1501
-        assert chunk_document(text, ChunkerConfig(2000, 0)) == oracle_chunk_document(text, ChunkerConfig(2000, 0))
+        assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
 
     @pytest.mark.parametrize(
         "text",

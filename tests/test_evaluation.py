@@ -24,6 +24,11 @@ words = st.lists(
     max_size=30,
 ).map(" ".join)
 
+# Terminator runs, a terminator inside a word, and several kinds of whitespace.
+sentence_text = st.lists(
+    st.sampled_from(["Ab", "c", ".", "!?", "..", " ", "\n", "\t", "\u3000", "x.y"]), max_size=20
+).map("".join)
+
 
 class TestRougeN:
     def test_identity_scores_one(self):
@@ -111,10 +116,7 @@ class TestSplitSentences:
     def test_terminator_inside_token_does_not_split(self):
         assert split_sentences("See example.com now. Done.") == ["See example.com now.", "Done."]
 
-    @given(
-        st.text(max_size=80)
-        | st.lists(st.sampled_from(["Ab", "c", ".", "!?", "..", " ", "\n", "\t", "\u3000", "x.y"]), max_size=20).map("".join)
-    )
+    @given(st.text(max_size=80) | sentence_text)
     @example("")
     @example(" \n ")
     @example("  ... Next one. Last")
