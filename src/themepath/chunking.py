@@ -140,8 +140,10 @@ def _count_from(text: str, pos: int) -> tuple[int, int]:
         count, pos = count + last[0][0], last[0][1].end()
         if last[0][0] < _PIECE:
             return count, pos
-        while piece := _skip_re(_PIECE - 1).match(text, pos):
-            count, pos = count + _PIECE, piece.end()
+        # No more tokens than characters are left, so the walk runs out and
+        # stops after the last whole piece.
+        passed, pos, _ = _walk(text, pos, len(text) - pos)
+        count += passed
 
 
 def count_tokens(text: str) -> int:

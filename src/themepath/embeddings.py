@@ -3,10 +3,10 @@
 Two providers share one contract ("texts in, one vector per text out"):
 
 * ``deterministic-test`` hashes token features into a fixed 64-dim vector.
-  It counts a text's whitespace-separated words, sums the features of each
-  distinct word's tokens once per call, and weighs those sums by the
-  counts.  It is bit-stable across processes and platforms, which makes
-  every downstream stage testable offline.
+  It counts a text's whitespace-separated words, tokenizes each distinct
+  word once per call, and adds up its tokens' features weighed by the
+  word's count.  It is bit-stable across processes and platforms, which
+  makes every downstream stage testable offline.
 * ``remote`` speaks the OpenAI-compatible embeddings contract, with retry
   and exponential backoff: it posts ``{"model": ..., "input": [texts]}``
   and reads ``data[i].embedding``.  Each reply is decoded into one
@@ -32,6 +32,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -99,35 +100,37 @@ def _test_vectors(texts: list[str]) -> list[np.ndarray]:
 
     No token spans whitespace, and ``str.split`` splits at exactly the
     characters ``\\s`` matches, so a text's tokens are those of its words.
-    Each distinct word's feature sum is computed once per call, hashing
-    each distinct token once per call; a text's vector is its word counts
-    times those sums.  Every entry is an integer, exact in float64, so the
-    bits are those of adding one +-1 term per token.
+    Each distinct word is tokenized once per call, and each distinct token
+    hashed once per call, into a code: its index, plus 64 for a negative
+    sign.  A text's vector is one ``bincount`` of its words' codes, each
+    weighed by the word's count, with the negative half taken from the
+    positive.  Every sum is an integer, exact in float64, so the bits are
+    those of adding one +-1 term per token.
     """
-    features: dict[str, tuple[int, int]] = {}
-    word_ids: dict[str, int] = {}
-    # Row word_ids[w] is word w's feature sum.  int32, since one word may be
-    # a whole chunk of a document without whitespace.  Grown by doubling.
-    table = np.zeros((256, TEST_PROVIDER_DIM), dtype=np.int32)
+    codes: dict[str, int] = {}  # token -> code
+    word_codes: dict[str, tuple[int, ...]] = {}
+    # One tuple per distinct code sequence: most words are one token, and
+    # there are only 128 one-token sequences.
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     vectors = []
     for text in texts:
         counts = Counter(text.lower().split())
-        for word in counts.keys() - word_ids.keys():
-            if len(word_ids) == len(table):
-                table = np.concatenate([table, np.zeros_like(table)])
-            row = table[len(word_ids)]
-            word_ids[word] = len(word_ids)
+        for word in counts.keys() - word_codes.keys():
+            seq = []
             for token in split_tokens(word):
-                feature = features.get(token)
-                if feature is None:
-                    feature = features[token] = _token_feature(token)
-                idx, sign = feature
-                row[idx] += sign
-        ids = np.fromiter(map(word_ids.__getitem__, counts), dtype=np.intp, count=len(counts))
-        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        # Every partial sum is an integer below 2**53, so BLAS adds them exactly
-        # in whatever order and with however many threads it uses.
-        vec = weights @ table[ids].astype(np.float64)
+                code = codes.get(token)
+                if code is None:
+                    idx, sign = _token_feature(token)
+                    code = codes[token] = idx if sign > 0 else idx + TEST_PROVIDER_DIM
+                seq.append(code)
+            seq = tuple(seq)
+            word_codes[word] = shared.setdefault(seq, seq)
+        words = list(map(word_codes.__getitem__, counts))
+        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        flat = np.fromiter(chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum()))
+        weights = np.repeat(np.fromiter(counts.values(), dtype=np.float64, count=len(counts)), lengths)
+        sums = np.bincount(flat, weights, minlength=2 * TEST_PROVIDER_DIM)
+        vec = sums[:TEST_PROVIDER_DIM] - sums[TEST_PROVIDER_DIM:]
         if not vec.any():
             # No tokens, or exact sign cancellation: fall back to a basis vector
             # derived from the whole text so the output is never degenerate.

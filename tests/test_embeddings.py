@@ -9,6 +9,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -128,6 +130,23 @@ class TestDeterministicProvider:
         assert sorted(hashed) == [".", "alpha", "beta", "gamma"]
 
 
+    def test_memory_per_distinct_word_stays_small(self):
+        # 40,000 distinct words, as punctuation makes of a natural vocabulary,
+        # over only 201 distinct tokens.
+        words = [f"{a},{b}" for a, b in product([f"w{i}" for i in range(200)], repeat=2)]
+        texts = [" ".join(words[i : i + 500]) for i in range(0, len(words), 500)]
+        tracemalloc.start()
+        try:
+            vectors = _test_vectors(texts)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vectors) == len(texts)
+        # About 100 bytes per word here.  A dense 64-wide int32 row per word,
+        # grown by doubling, held over 900.
+        assert peak - retained < 200 * len(words)
+
+
 def _topic_chunk_texts():
     doc = make_topic_document(7, ["alpha", "beta", "gamma", "delta", "alpha"])
     cfg = ChunkerConfig(chunk_size=tokens_per_chunk(), overlap=0)
@@ -155,7 +174,7 @@ class TestAgainstPerTokenOracle:
             ["İstanbul ΣΊΣΥΦΟΣ STRASSE straße", "istanbul σίσυφος strasse"],
             ["   ", "\t\n", "x"],
             [_cancelling_text()],
-            # One word of 40,000 tokens: its feature sums overflow int8 and int16.
+            # Words of 40,000 tokens, whose feature sums overflow int8 and int16.
             ["," * 40_000, "x" + "_" * 40_000, "w," * 20_000],
             ["Alpha ALPHA alpha aLpHa", "STRASSE Straße strasse", "alpha. Alpha."],
             ["a\u3000b\x1cc\x1dd\x1ee\x1ff\x85g\u2028h", "\u3000a.\u2028A\x85"],
