@@ -32,7 +32,6 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -101,36 +100,34 @@ def _test_vectors(texts: list[str]) -> list[np.ndarray]:
     No token spans whitespace, and ``str.split`` splits at exactly the
     characters ``\\s`` matches, so a text's tokens are those of its words.
     Each distinct word is tokenized once per call, and each distinct token
-    hashed once per call, into a code: its index, plus 64 for a negative
-    sign.  A text's vector is one ``bincount`` of its words' codes, each
-    weighed by the word's count, with the negative half taken from the
-    positive.  Every sum is an integer, exact in float64, so the bits are
-    those of adding one +-1 term per token.
+    hashed once per call.  A text's vector adds each distinct word's token
+    features times the word's count, in Python integers: the sums are exact,
+    so the bits are those of adding one +-1 term per token.
     """
-    codes: dict[str, int] = {}  # token -> code
-    word_codes: dict[str, tuple[int, ...]] = {}
-    # One tuple per distinct code sequence: most words are one token, and
+    # word -> the (index, sign) of each of its tokens.  A token tokenizes to
+    # itself, so it is also a one-token word and is hashed once.
+    features: dict[str, tuple[tuple[int, int], ...]] = {}
+    # One tuple per distinct feature sequence: most words are one token, and
     # there are only 128 one-token sequences.
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     vectors = []
     for text in texts:
         counts = Counter(text.lower().split())
-        for word in counts.keys() - word_codes.keys():
+        for word in counts.keys() - features.keys():
             seq = []
             for token in split_tokens(word):
-                code = codes.get(token)
-                if code is None:
-                    idx, sign = _token_feature(token)
-                    code = codes[token] = idx if sign > 0 else idx + TEST_PROVIDER_DIM
-                seq.append(code)
+                feature = features.get(token)
+                if feature is None:
+                    feature = (_token_feature(token),)
+                    feature = features[token] = shared.setdefault(feature, feature)
+                seq += feature
             seq = tuple(seq)
-            word_codes[word] = shared.setdefault(seq, seq)
-        words = list(map(word_codes.__getitem__, counts))
-        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-        flat = np.fromiter(chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum()))
-        weights = np.repeat(np.fromiter(counts.values(), dtype=np.float64, count=len(counts)), lengths)
-        sums = np.bincount(flat, weights, minlength=2 * TEST_PROVIDER_DIM)
-        vec = sums[:TEST_PROVIDER_DIM] - sums[TEST_PROVIDER_DIM:]
+            features[word] = shared.setdefault(seq, seq)
+        sums = [0] * TEST_PROVIDER_DIM
+        for word, count in counts.items():
+            for idx, sign in features[word]:
+                sums[idx] += sign * count
+        vec = np.array(sums, dtype=np.float64)
         if not vec.any():
             # No tokens, or exact sign cancellation: fall back to a basis vector
             # derived from the whole text so the output is never degenerate.
