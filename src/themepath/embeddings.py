@@ -3,10 +3,10 @@
 Two providers share one contract ("texts in, one vector per text out"):
 
 * ``deterministic-test`` hashes token features into a fixed 64-dim vector.
-  It counts a text's whitespace-separated words, tokenizes each distinct
-  word once per call, and adds up its tokens' features weighed by the
-  word's count.  It is bit-stable across processes and platforms, which
-  makes every downstream stage testable offline.
+  It counts a text's whitespace-separated words and adds up each distinct
+  word's token features times its count, hashing each distinct token once
+  per call.  It is bit-stable across processes and platforms, which makes
+  every downstream stage testable offline.
 * ``remote`` speaks the OpenAI-compatible embeddings contract, with retry
   and exponential backoff: it posts ``{"model": ..., "input": [texts]}``
   and reads ``data[i].embedding``.  Each reply is decoded into one
@@ -99,33 +99,29 @@ def _test_vectors(texts: list[str]) -> list[np.ndarray]:
 
     No token spans whitespace, and ``str.split`` splits at exactly the
     characters ``\\s`` matches, so a text's tokens are those of its words.
-    Each distinct word is tokenized once per call, and each distinct token
-    hashed once per call.  A text's vector adds each distinct word's token
-    features times the word's count, in Python integers: the sums are exact,
-    so the bits are those of adding one +-1 term per token.
+    A text's vector adds each distinct word's token features times the
+    word's count, in Python integers: the sums are exact, so the bits are
+    those of adding one +-1 term per token.  A one-token word, most words,
+    finds its features in the token table; a longer one is tokenized in
+    each text it appears in.  Memory so grows with the distinct tokens of
+    the call, not with its distinct words.
     """
-    # word -> the (index, sign) of each of its tokens.  A token tokenizes to
-    # itself, so it is also a one-token word and is hashed once.
-    features: dict[str, tuple[tuple[int, int], ...]] = {}
-    # One tuple per distinct feature sequence: most words are one token, and
-    # there are only 128 one-token sequences.
-    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    # token -> its (index, sign), in a 1-tuple.  A token tokenizes to itself,
+    # so a one-token word finds its features here.
+    features: dict[str, tuple[tuple[int, int]]] = {}
     vectors = []
     for text in texts:
-        counts = Counter(text.lower().split())
-        for word in counts.keys() - features.keys():
-            seq = []
-            for token in split_tokens(word):
-                feature = features.get(token)
-                if feature is None:
-                    feature = (_token_feature(token),)
-                    feature = features[token] = shared.setdefault(feature, feature)
-                seq += feature
-            seq = tuple(seq)
-            features[word] = shared.setdefault(seq, seq)
         sums = [0] * TEST_PROVIDER_DIM
-        for word, count in counts.items():
-            for idx, sign in features[word]:
+        for word, count in Counter(text.lower().split()).items():
+            seq = features.get(word)
+            if seq is None:
+                seq = []
+                for token in split_tokens(word):
+                    feature = features.get(token)
+                    if feature is None:
+                        feature = features[token] = (_token_feature(token),)
+                    seq += feature
+            for idx, sign in seq:
                 sums[idx] += sign * count
         vec = np.array(sums, dtype=np.float64)
         if not vec.any():
