@@ -29,7 +29,7 @@ import logging
 import os
 import threading
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -101,27 +101,30 @@ def _test_vectors(texts: list[str]) -> list[np.ndarray]:
     characters ``\\s`` matches, so a text's tokens are those of its words.
     A text's vector adds each distinct word's token features times the
     word's count, in Python integers: the sums are exact, so the bits are
-    those of adding one +-1 term per token.  A one-token word, most words,
-    finds its features in the token table; a longer one is tokenized in
-    each text it appears in.  Memory so grows with the distinct tokens of
-    the call, not with its distinct words.
+    those of adding one +-1 term per token.  A word that is a token seen
+    before, most words, is looked up whole; the text's other words are
+    tokenized in one pass per count.  Each distinct token is hashed once per
+    call, and memory grows with the call's distinct tokens, not its words.
     """
-    # token -> its (index, sign), in a 1-tuple.  A token tokenizes to itself,
-    # so a one-token word finds its features here.
-    features: dict[str, tuple[tuple[int, int]]] = {}
+    features: dict[str, tuple[int, int]] = {}  # token -> (index, sign)
     vectors = []
     for text in texts:
         sums = [0] * TEST_PROVIDER_DIM
+        # count -> the words that are not a token seen before
+        rest: dict[int, list[str]] = defaultdict(list)
         for word, count in Counter(text.lower().split()).items():
-            seq = features.get(word)
-            if seq is None:
-                seq = []
-                for token in split_tokens(word):
-                    feature = features.get(token)
-                    if feature is None:
-                        feature = features[token] = (_token_feature(token),)
-                    seq += feature
-            for idx, sign in seq:
+            feature = features.get(word)
+            if feature is None:
+                rest[count].append(word)
+            else:
+                idx, sign = feature
+                sums[idx] += sign * count
+        for count, words in rest.items():
+            for token in split_tokens(" ".join(words)):
+                feature = features.get(token)
+                if feature is None:
+                    feature = features[token] = _token_feature(token)
+                idx, sign = feature
                 sums[idx] += sign * count
         vec = np.array(sums, dtype=np.float64)
         if not vec.any():
