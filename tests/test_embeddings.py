@@ -142,8 +142,8 @@ class TestDeterministicProvider:
         finally:
             tracemalloc.stop()
         assert len(vectors) == len(texts)
-        # About 0.07 MB here.  Keeping each word's features cost about 100
-        # bytes a word as tuples, and over 900 as dense int32 rows.
+        # About 0.1 MB here.  A table that keeps each word's features takes
+        # about 100 bytes a word as tuples, and over 900 as dense int32 rows.
         assert peak - retained < 25 * len(words)
 
 
