@@ -5,11 +5,12 @@ letters/digits form one token, every other non-whitespace character is its
 own token.  The pipeline only depends on token counts and chunk boundaries,
 not on any particular subword vocabulary.
 
-``chunk_document`` and ``count_tokens`` pass over the tokens inside the
-regex engine: one anchored match of a counted repeat steps from one chunk
-boundary to the next, and makes no Python object for the tokens between.
-A skip longer than ``_PIECE`` tokens is cut into several matches, since
-the engine keeps state for every repetition until a match returns.
+``_walk`` steps over tokens inside the regex engine: one anchored match of
+a counted repeat passes from one chunk boundary to the next, and makes no
+Python object for the tokens between.  A skip longer than ``_PIECE``
+tokens is cut into several matches, since the engine keeps state for
+every repetition until a match returns; where the text runs out, the
+fewer than a piece left are counted match by match.
 Besides its output, a call so holds at most one piece's match state,
 whatever the whitespace: memory does not grow with the length of the
 document, of its runs without whitespace or of a chunk.
@@ -23,7 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 
-_TOKEN = r"[^\W_]+|[^\w\s]|_"
+# The grammar, in two parts: a token is a letter run or one other mark.
+LETTER_RUN = r"[^\W_]+"
+OTHER_MARK = r"[^\w\s]|_"
+_TOKEN = f"{LETTER_RUN}|{OTHER_MARK}"
 # One capture group: split() returns gap, token, gap, ..., token, gap, so
 # token t is parts[2t + 1]; findall() returns the tokens alone.
 _TOKEN_RE = re.compile(f"({_TOKEN})")
@@ -104,50 +108,47 @@ def _skip_re(n: int) -> re.Pattern:
     several tokens to reach its count.  Atomic groups and possessive
     quantifiers would do the same, but need Python 3.11.
     """
-    return re.compile(rf"(?:\s*(?:(?=(?P<run>[^\W_]+))(?P=run)|[^\w\s]|_)){{{n}}}\s*(?P<token>{_TOKEN})")
+    atom = rf"(?=(?P<run>{LETTER_RUN}))(?P=run)|{OTHER_MARK}"
+    return re.compile(rf"(?:\s*(?:{atom})){{{n}}}\s*(?P<token>{_TOKEN})")
 
 
 def _walk(text: str, pos: int, n: int) -> tuple[int, int, re.Match | None]:
     """Pass n tokens from character pos on, then match the next one.
 
-    Returns (tokens passed, character offset just past the last of them,
-    the match).  Whole pieces are passed first, one match each.  When the
-    text runs out, the match is None, and the count and offset are those
-    of the last whole piece passed.
+    Returns (tokens walked, character offset just past the last, the match):
+    n + 1 tokens, in whole pieces of one match each and then one more.  If
+    the text runs out first, the match is None, and what the pieces left,
+    fewer than a piece, is counted match by match, so the count and offset
+    cover every token from pos on (the offset is pos if there is none).
     """
     passed = 0
     while n - passed >= _PIECE:
         piece = _skip_re(_PIECE - 1).match(text, pos)
         if piece is None:
-            return passed, pos, None
+            break
         passed, pos = passed + _PIECE, piece.end()
-    return passed, pos, _skip_re(n - passed).match(text, pos)
-
-
-def _count_from(text: str, pos: int) -> tuple[int, int]:
-    """(tokens of text from character pos on, character offset just past the last).
-
-    The offset is pos itself when there are none.  Up to one piece is
-    walked match by match, so a shorter text is walked once.  Past that,
-    whole pieces are passed one match each, and only what is left after
-    them, less than a piece, is walked twice.
-    """
-    count = 0
-    while True:  # twice at most: the pieces leave less than a piece
-        last = deque(enumerate(islice(_TOKEN_RE.finditer(text, pos), _PIECE), 1), maxlen=1)
-        if not last:
-            return count, pos
-        count, pos = count + last[0][0], last[0][1].end()
-        if last[0][0] < _PIECE:
-            return count, pos
-        # No more tokens than characters are left, so the walk runs out and
-        # stops after the last whole piece.
-        passed, pos, _ = _walk(text, pos, len(text) - pos)
-        count += passed
+    else:  # every piece matched
+        match = _skip_re(n - passed).match(text, pos)
+        if match is not None:
+            return n + 1, match.end(), match
+    last = deque(enumerate(_TOKEN_RE.finditer(text, pos), 1), maxlen=1)
+    if last:
+        passed, pos = passed + last[0][0], last[0][1].end()
+    return passed, pos, None
 
 
 def count_tokens(text: str) -> int:
-    return _count_from(text, 0)[0]
+    """How many tokens text has.
+
+    The first piece is walked match by match, so a shorter text (each one
+    the mock chat provider counts) is walked once.  ``_walk`` counts the
+    rest, asked to pass as many tokens as there are characters left.
+    """
+    head = deque(enumerate(islice(_TOKEN_RE.finditer(text), _PIECE), 1), maxlen=1)
+    count, last = head[0] if head else (0, None)
+    if count < _PIECE:
+        return count
+    return count + _walk(text, last.end(), len(text) - last.end())[0]
 
 
 def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chunk]:
@@ -168,8 +169,8 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
     size, stride = cfg.chunk_size, cfg.chunk_size - cfg.overlap
     chunks: list[Chunk] = []
     opened: deque[tuple[int, int, int]] = deque()  # (token, char, byte) of each open chunk
-    total = 0  # tokens the walk has passed
-    last_end = 0  # character offset just past the last token passed
+    total = 0  # tokens walked
+    last_end = 0  # character offset just past the last token walked
     # byte_pos is the UTF-8 offset of character byte_char; it moves from one
     # chunk start to the next, so only the text between them is re-encoded.
     byte_char = byte_pos = 0
@@ -191,19 +192,15 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
         total += passed
         if match is None:
             break
-        total, last_end = target + 1, match.end()
         if target == next_open:
             byte_pos += _utf8_len(text[byte_char : match.start("token")])
             byte_char = match.start("token")
             opened.append((target, byte_char, byte_pos))
         if opened[0][0] + size - 1 == target:
             close(total, last_end)
-    # The walk ran out before its target; count the tokens past the last
-    # stop, fewer than one chunk's worth.
-    count, last_end = _count_from(text, last_end)
-    total += count
-    # The chunks still open run past the last token.  The oldest of them is
-    # the short last chunk, unless a chunk already ended at the last token.
+    # The walk ran out and counted every token.  The chunks still open run
+    # past the last one.  The oldest of them is the short last chunk,
+    # unless a chunk already ended at the last token.
     if opened and not (chunks and chunks[-1].token_span[1] == total):
         close(total, last_end)
     return chunks

@@ -99,10 +99,11 @@ def _feasible_k(vectors: np.ndarray, k: int) -> int:
     """min(k, the number of distinct rows).
 
     k distinct rows among the first k settle it without sorting all n rows.
+    When k >= n that prefix is every row, so the rows are counted once.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if distinct_count(vectors[:k]) == k:
+    if k < vectors.shape[0] and distinct_count(vectors[:k]) == k:
         return k
     return min(k, distinct_count(vectors))
 

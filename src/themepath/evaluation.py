@@ -15,12 +15,12 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
+from .chunking import LETTER_RUN
 from .embeddings import EmbeddingProviderConfig, cosine_similarity, embed_batch
 
 _SENTENCE_END = re.compile(r"[.!?]+(?=\s|$)")
-# The letter/digit runs the package tokenizer emits; its punctuation and "_"
-# tokens are not metric tokens.
-_WORD = re.compile(r"[^\W_]+")
+# The tokenizer's letter/digit runs; its other marks are not metric tokens.
+_WORD = re.compile(LETTER_RUN)
 
 
 @dataclass

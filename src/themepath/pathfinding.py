@@ -319,20 +319,16 @@ def solve_greedy(matrix: TransitionMatrix) -> HamiltonianPath:
     best_order: list[int] | None = None
     best_lp = _NEG_INF
     for start in range(k):
-        visited = [False] * k
+        visited = np.zeros(k, dtype=bool)
         visited[start] = True
         order = [start]
         cur = start
         for _ in range(k - 1):
-            nxt = -1
-            nxt_p = -1.0
-            for j in range(k):
-                if not visited[j] and probs[cur, j] > nxt_p:
-                    nxt_p = float(probs[cur, j])
-                    nxt = j
-            visited[nxt] = True
-            order.append(nxt)
-            cur = nxt
+            # Probabilities are >= 0, so a visited node (-1) never wins, and
+            # argmax takes the lowest id among ties.
+            cur = int(np.argmax(np.where(visited, -1.0, probs[cur])))
+            visited[cur] = True
+            order.append(cur)
         lp = path_probability(matrix, order)
         if best_order is None or lp > best_lp or (lp == best_lp and order < best_order):
             best_order = order

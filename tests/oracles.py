@@ -155,6 +155,38 @@ def oracle_solve_dp(matrix: TransitionMatrix) -> HamiltonianPath:
     return HamiltonianPath(order=order, log_prob=path_probability(matrix, order), method="dp")
 
 
+def oracle_greedy(matrix: TransitionMatrix) -> HamiltonianPath:
+    """Best of k greedy walks, each successor found by a scan over every node.
+
+    A walk moves to the unvisited node of maximal probability, the lowest id
+    on ties; the best walk wins, the smallest order on ties.
+    """
+    k = matrix.k
+    probs = matrix.probs
+    best_order: list[int] | None = None
+    best_lp = _NEG_INF
+    for start in range(k):
+        visited = [False] * k
+        visited[start] = True
+        order = [start]
+        cur = start
+        for _ in range(k - 1):
+            nxt = -1
+            nxt_p = -1.0
+            for j in range(k):
+                if not visited[j] and probs[cur, j] > nxt_p:
+                    nxt_p = float(probs[cur, j])
+                    nxt = j
+            visited[nxt] = True
+            order.append(nxt)
+            cur = nxt
+        lp = path_probability(matrix, order)
+        if best_order is None or lp > best_lp or (lp == best_lp and order < best_order):
+            best_order = order
+            best_lp = lp
+    return HamiltonianPath(order=best_order, log_prob=best_lp, method="greedy")
+
+
 def per_token_test_vector(text: str) -> np.ndarray:
     """The deterministic-test embedding with one sha256 per token occurrence."""
     vec = np.zeros(TEST_PROVIDER_DIM, dtype=np.float64)

@@ -218,6 +218,21 @@ class TestMatchWalk:
     """
 
     @given(seam_text | unicode_text, st.integers(1, 4))
+    @example("ab cd ef", 2)
+    def test_walk_matches_token_n_or_counts_every_token(self, text, piece):
+        seq = oracle_tokenize(text)
+        data = text.encode("utf-8")
+        ends = [len(data[:end].decode("utf-8")) for _, end in seq.offsets]
+        with mock.patch.object(chunking, "_PIECE", piece):
+            for n in range(len(seq) + 3):
+                walked, end, match = chunking._walk(text, 0, n)
+                if n < len(seq):
+                    assert (walked, end, match.group("token")) == (n + 1, ends[n], seq.tokens[n])
+                else:
+                    # Past the end the walk counts every token, whole pieces and the rest.
+                    assert (walked, end, match) == (len(seq), ends[-1] if ends else 0, None)
+
+    @given(seam_text | unicode_text, st.integers(1, 4))
     @example("abc de\u3000fgh, ij", 1)
     @example("ab cdef", 2)
     def test_small_pieces_match_the_oracle(self, text, piece):

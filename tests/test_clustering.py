@@ -117,6 +117,12 @@ class TestDistinctCount:
         assert rows == [3, 4]
         assert result.k == 2 and result.labels.tolist() == [0, 0, 1, 1]
 
+    def test_k_of_at_least_n_counts_the_rows_once(self, monkeypatch):
+        rows = self.record_calls(monkeypatch)
+        result = kmeans(np.array([[1.0], [1.0], [2.0], [2.0]]), 4, seed=0)
+        assert rows == [4]
+        assert result.k == 2 and result.labels.tolist() == [0, 0, 1, 1]
+
     def test_a_lowered_k_gives_the_partition_of_that_k(self):
         points = np.array([[0.0], [0.0], [0.0], [1.0]])
         lowered, direct = kmeans(points, 3, seed=0), kmeans(points, 2, seed=0)

@@ -193,6 +193,12 @@ class TestAgainstPerTokenOracle:
         want = np.stack([per_token_test_vector(t) for t in texts])
         assert np.stack(_test_vectors(texts)).tobytes() == want.tobytes()
 
+    def test_embed_batch_normalizes_once(self):
+        # The provider's unit vectors come back as they are, not renormalized.
+        texts = _topic_chunk_texts()
+        want = np.stack([per_token_test_vector(t) for t in texts])
+        assert embed_batch(texts, EmbeddingProviderConfig()).tobytes() == want.tobytes()
+
     def test_str_split_breaks_exactly_where_the_tokenizer_sees_whitespace(self):
         # The embedder counts str.split words and tokenizes each one alone.
         chars = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)

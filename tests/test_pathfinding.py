@@ -11,7 +11,7 @@ from themepath.errors import InfeasibleError
 from themepath.markov import TransitionMatrix, build_transition_matrix
 from themepath.pathfinding import DP_HARD_CAP, path_probability, solve_dp, solve_greedy
 
-from oracles import oracle_dp_table, oracle_solve_dp, solve_brute_force
+from oracles import oracle_dp_table, oracle_greedy, oracle_solve_dp, solve_brute_force
 
 # Three-cluster fixture: best order is 0 -> 2 -> 1 with probability 0.7 * 0.8.
 FIXTURE = TransitionMatrix(
@@ -193,6 +193,26 @@ class TestGreedy:
         probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         path = solve_greedy(TransitionMatrix(probs, 3, frozenset({1, 2})))
         assert path.order == [0, 1, 2]
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "rounded"])
+    def test_matches_the_scanning_oracle(self, kind):
+        # Seeded row-stochastic matrices for k = 1-30: dense rows, rows with
+        # most entries zero, rows rounded to tenths (many tied successors),
+        # each with some all-zero rows.
+        for k in range(1, 31):
+            rng = np.random.default_rng(k)
+            probs = rng.random((k, k))
+            if kind == "sparse":
+                probs[rng.random((k, k)) < 0.7] = 0.0
+            elif kind == "rounded":
+                probs = np.round(probs * 3) / 10
+            probs[rng.random(k) < 0.2] = 0.0
+            totals = probs.sum(axis=1)
+            zero_rows = frozenset(int(i) for i in np.flatnonzero(totals == 0))
+            probs[totals > 0] /= totals[totals > 0, None]
+            matrix = TransitionMatrix(probs, k, zero_rows)
+            got, want = solve_greedy(matrix), oracle_greedy(matrix)
+            assert (got.order, got.log_prob) == (want.order, want.log_prob), k
 
 
 class TestPathProbability:
