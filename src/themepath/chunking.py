@@ -6,14 +6,12 @@ own token.  The pipeline only depends on token counts and chunk boundaries,
 not on any particular subword vocabulary.
 
 ``_walk`` steps over tokens inside the regex engine: one anchored match of
-a counted repeat passes from one chunk boundary to the next, and makes no
-Python object for the tokens between.  A skip longer than ``_PIECE``
-tokens is cut into several matches, since the engine keeps state for
-every repetition until a match returns; where the text runs out, the
-fewer than a piece left are counted match by match.
-Besides its output, a call so holds at most one piece's match state,
-whatever the whitespace: memory does not grow with the length of the
-document, of its runs without whitespace or of a chunk.
+a possessive counted repeat passes from one chunk boundary to the next,
+and makes no Python object for the tokens between.  A possessive repeat
+keeps no engine state per repetition, so a call's match state does not
+grow with the skip, whatever the whitespace.  Where the text runs out,
+``_count`` counts the tokens left in matches of 1, 2, 4, ... tokens and
+then of halving sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 
 # The grammar, in two parts: a token is a letter run or one other mark.
 LETTER_RUN = r"[^\W_]+"
@@ -31,11 +29,6 @@ _TOKEN = f"{LETTER_RUN}|{OTHER_MARK}"
 # One capture group: split() returns gap, token, gap, ..., token, gap, so
 # token t is parts[2t + 1]; findall() returns the tokens alone.
 _TOKEN_RE = re.compile(f"({_TOKEN})")
-
-# The most tokens one counted match passes.  sre keeps about 230 bytes per
-# repetition until the match returns: 0.23 MB here, over 20 MB for a skip
-# of 100k tokens.
-_PIECE = 1024
 
 
 @dataclass
@@ -103,52 +96,49 @@ def _skip_re(n: int) -> re.Pattern:
     """A pattern that passes n tokens, then matches the next as group "token".
 
     Every non-whitespace character lands in a token, so the gaps between
-    tokens are exactly runs of \\s.  The lookahead and backreference make a
-    letter run atomic; without them the repeat could split a run into
-    several tokens to reach its count.  Atomic groups and possessive
-    quantifiers would do the same, but need Python 3.11.
+    tokens are exactly runs of \\s.  The letter run is possessive, so the
+    repeat never splits a run into several tokens to reach its count.  The
+    repeat is possessive too, so the engine keeps no state per repetition.
     """
-    atom = rf"(?=(?P<run>{LETTER_RUN}))(?P=run)|{OTHER_MARK}"
-    return re.compile(rf"(?:\s*(?:{atom})){{{n}}}\s*(?P<token>{_TOKEN})")
+    atom = rf"\s*+(?:{LETTER_RUN}+|{OTHER_MARK})"
+    return re.compile(rf"(?:{atom}){{{n}}}+\s*+(?P<token>{_TOKEN})")
+
+
+def _count(text: str, pos: int) -> tuple[int, int]:
+    """Count the tokens from character pos on.
+
+    Returns (tokens, character offset just past the last, or pos if there
+    is none).  Matches of 1, 2, 4, ... tokens pass while they fit, then
+    matches of halving sizes pass what is left: about two passes over the
+    text, in 2 log2(tokens + 1) + 1 matches at most.
+    """
+    tokens, size = 0, 1
+    while match := _skip_re(size - 1).match(text, pos):
+        tokens, pos, size = tokens + size, match.end(), 2 * size
+    while size > 1:
+        size //= 2
+        if match := _skip_re(size - 1).match(text, pos):
+            tokens, pos = tokens + size, match.end()
+    return tokens, pos
 
 
 def _walk(text: str, pos: int, n: int) -> tuple[int, int, re.Match | None]:
     """Pass n tokens from character pos on, then match the next one.
 
     Returns (tokens walked, character offset just past the last, the match):
-    n + 1 tokens, in whole pieces of one match each and then one more.  If
-    the text runs out first, the match is None, and what the pieces left,
-    fewer than a piece, is counted match by match, so the count and offset
-    cover every token from pos on (the offset is pos if there is none).
+    n + 1 tokens in one match.  If the text runs out first, the match is
+    None, and the count and offset are ``_count``'s, over every token from
+    pos on.  n + 1 tokens need n + 1 characters, so a larger n is counted
+    without a match: sre refuses a count of 2^32 - 1 or more.
     """
-    passed = 0
-    while n - passed >= _PIECE:
-        piece = _skip_re(_PIECE - 1).match(text, pos)
-        if piece is None:
-            break
-        passed, pos = passed + _PIECE, piece.end()
-    else:  # every piece matched
-        match = _skip_re(n - passed).match(text, pos)
-        if match is not None:
-            return n + 1, match.end(), match
-    last = deque(enumerate(_TOKEN_RE.finditer(text, pos), 1), maxlen=1)
-    if last:
-        passed, pos = passed + last[0][0], last[0][1].end()
-    return passed, pos, None
+    if n < len(text) - pos and (match := _skip_re(n).match(text, pos)):
+        return n + 1, match.end(), match
+    return (*_count(text, pos), None)
 
 
 def count_tokens(text: str) -> int:
-    """How many tokens text has.
-
-    The first piece is walked match by match, so a shorter text (each one
-    the mock chat provider counts) is walked once.  ``_walk`` counts the
-    rest, asked to pass as many tokens as there are characters left.
-    """
-    head = deque(enumerate(islice(_TOKEN_RE.finditer(text), _PIECE), 1), maxlen=1)
-    count, last = head[0] if head else (0, None)
-    if count < _PIECE:
-        return count
-    return count + _walk(text, last.end(), len(text) - last.end())[0]
+    """How many tokens text has, counted by ``_count``."""
+    return _count(text, 0)[0]
 
 
 def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chunk]:

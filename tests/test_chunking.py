@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -212,36 +211,52 @@ LONG_TEXTS = {
 class TestMatchWalk:
     """chunk_document and count_tokens pass the tokens in counted regex matches.
 
-    Each match passes at most ``chunking._PIECE`` tokens; the tests below
-    also shrink the piece to a few tokens, so that a short text takes the
-    same paths as a long one.
+    ``_walk`` passes a skip in one match; ``_count`` counts what is left in
+    matches of rising, then halving sizes, and takes both paths on any text
+    of two tokens or more.
     """
 
-    @given(seam_text | unicode_text, st.integers(1, 4))
-    @example("ab cd ef", 2)
-    def test_walk_matches_token_n_or_counts_every_token(self, text, piece):
+    @given(seam_text | unicode_text)
+    @example("ab cd ef")
+    # A whitespace run after the last token: a possessive repeat that stops
+    # partway through its last repetition must still end at that token.
+    @example("ab  ")
+    @example("a , \t")
+    def test_walk_matches_token_n_or_counts_every_token(self, text):
         seq = oracle_tokenize(text)
         data = text.encode("utf-8")
         ends = [len(data[:end].decode("utf-8")) for _, end in seq.offsets]
-        with mock.patch.object(chunking, "_PIECE", piece):
-            for n in range(len(seq) + 3):
-                walked, end, match = chunking._walk(text, 0, n)
-                if n < len(seq):
-                    assert (walked, end, match.group("token")) == (n + 1, ends[n], seq.tokens[n])
-                else:
-                    # Past the end the walk counts every token, whole pieces and the rest.
-                    assert (walked, end, match) == (len(seq), ends[-1] if ends else 0, None)
+        for n in range(len(seq) + 3):
+            walked, end, match = chunking._walk(text, 0, n)
+            if n < len(seq):
+                assert (walked, end, match.group("token")) == (n + 1, ends[n], seq.tokens[n])
+            else:
+                # Past the end the walk counts every token.
+                assert (walked, end, match) == (len(seq), ends[-1] if ends else 0, None)
 
-    @given(seam_text | unicode_text, st.integers(1, 4))
-    @example("abc de\u3000fgh, ij", 1)
-    @example("ab cdef", 2)
-    def test_small_pieces_match_the_oracle(self, text, piece):
-        with mock.patch.object(chunking, "_PIECE", piece):
-            assert count_tokens(text) == len(oracle_tokenize(text))
-            for chunk_size in range(1, 9):
-                for overlap in range(chunk_size):
-                    cfg = ChunkerConfig(chunk_size, overlap)
-                    assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+    @given(seam_text | unicode_text)
+    @example("abc de\u3000fgh, ij")
+    @example("ab cdef")
+    def test_short_texts_match_the_oracle(self, text):
+        assert count_tokens(text) == len(oracle_tokenize(text))
+        for chunk_size in range(1, 9):
+            for overlap in range(chunk_size):
+                cfg = ChunkerConfig(chunk_size, overlap)
+                assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
+
+    def test_the_pattern_cache_stays_logarithmic(self):
+        chunking._skip_re.cache_clear()
+        for n in range(3001):
+            assert count_tokens(make_doc(n)) == n
+        # Matches of 1, 2, 4, ..., 2,048 tokens: one pattern per power of two.
+        assert chunking._skip_re.cache_info().currsize <= 12
+
+    @pytest.mark.parametrize("size", [2**32 - 1, 2**32, 2**40])
+    @pytest.mark.parametrize("text", ["a b c", "abcdefghij", "caf\u00e9 \u4f60\u597d, \U0001f600 "])
+    def test_windows_beyond_the_repeat_limit_match_the_oracle(self, text, size):
+        # sre refuses a repeat count of 2^32 - 1 or more.
+        cfg = ChunkerConfig(size, 3)
+        assert chunk_document(text, cfg) == oracle_chunk_document(text, cfg)
 
     def test_a_letter_run_at_the_end_is_never_split(self):
         # A counted repeat that may backtrack into a letter run reaches its
@@ -291,7 +306,8 @@ class TestMatchWalk:
         assert chunks[-1].token_span[1] == 400_000
         # Splitting the whole text at once holds about 25 MB beyond the chunks,
         # and splitting it at whitespace 17.8 MB on the whitespace-free text.
-        # One counted match over a 130k-token skip holds 16-26 MB.
+        # A counted repeat that is not possessive keeps state per repetition:
+        # 26-32 MB over a 130k-token skip, and 8.4 MB as an atomic group.
         assert peak - retained < 2_000_000
 
     @pytest.mark.parametrize("kind", LONG_TEXTS)
@@ -305,5 +321,6 @@ class TestMatchWalk:
             tracemalloc.stop()
         assert count == 400_000
         # A list of every token takes about 22 MB, and a list per stretch
-        # between whitespace 14.4 MB on the whitespace-free text.
+        # between whitespace 14.4 MB on the whitespace-free text.  A counted
+        # repeat that is not possessive holds about 98 MB over 400k tokens.
         assert peak < 2_000_000
