@@ -92,7 +92,11 @@ def _interpolate(value: str) -> str:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines skipped."""
+    """Parse ``key = value`` lines, skipping blank lines and comments.
+
+    A comment is a line whose first non-blank character is '#'.  A '#' after
+    a value is part of it, since values may hold '#' (URL fragments, tokens).
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -105,27 +109,17 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _to_bool(raw: str, key: str) -> bool:
+def _to_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _to_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-
-
-def _to_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
+# A field type's parser and the noun its error message names; other fields stay str.
+_PARSERS = {int: (int, "an integer"), float: (float, "a number"), bool: (_to_bool, "a boolean")}
 
 
 def _plain_type(hint) -> type:
@@ -140,9 +134,6 @@ def _settable_fields(cls) -> list[tuple[str, type]]:
     hints = typing.get_type_hints(cls)
     keys = [f for f in fields(cls) if f.metadata.get("key", True)]
     return [(f.name, _plain_type(hints[f.name])) for f in keys]
-
-
-_CONVERTERS = {int: _to_int, float: _to_float, bool: _to_bool}
 
 
 def config_from_mapping(values: dict[str, str]) -> RunConfig:
@@ -168,8 +159,11 @@ def config_from_mapping(values: dict[str, str]) -> RunConfig:
         if key not in spec:
             raise ConfigError(f"unknown config key: {key!r}")
         section, name, kind = spec[key]
-        convert = _CONVERTERS.get(kind)
-        value = convert(raw, key) if convert else str(raw)
+        parse, noun = _PARSERS.get(kind, (str, "a string"))
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected {noun}, got {raw!r}") from exc
         kwargs[section][name] = value
         if isinstance(raw, _Spliced):
             env_templates[(section, name)] = (raw.template, value)

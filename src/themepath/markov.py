@@ -49,15 +49,12 @@ def build_transition_matrix(
         seq = collapse_runs(seq)
 
     counts = np.zeros((k, k), dtype=np.float64)
-    if len(seq) > 1:
-        arr = np.asarray(seq, dtype=np.int64)
-        np.add.at(counts, (arr[:-1], arr[1:]), 1.0)
+    arr = np.asarray(seq, dtype=np.int64)
+    np.add.at(counts, (arr[:-1], arr[1:]), 1.0)
 
-    totals = counts.sum(axis=1)
+    totals = counts.sum(axis=1, keepdims=True)
     zero_rows = frozenset(int(i) for i in np.flatnonzero(totals == 0))
-    probs = np.zeros_like(counts)
-    nonzero = totals > 0
-    probs[nonzero] = counts[nonzero] / totals[nonzero, None]
+    probs = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
     return TransitionMatrix(probs=probs, k=k, zero_rows=zero_rows)
 
 

@@ -25,16 +25,18 @@ choice of start and end node.
     cardinalities, and records one int8 successor per (subset, node) cell:
     about 21 + 60 MB at k = 20 and 92 + 248 MB at k = 22.
   Every value either path computes is one IEEE add of previously rounded
-  values followed by a max, and every successor is the lowest node to
-  reach that max, so both give the same order and the same bits.
+  values followed by a max, and the successor of every positive state is
+  the lowest node to reach that max, so both give the same order and the
+  same bits.
 
-  The no-path rule (``_suffix_start``): if some positive path covers every
-  node, the walk starts at the first argmax of g[full, .].  If none does,
-  the full-table walk starts at node 0 and takes the lowest remaining node
-  for as long as its value is -inf: the order is 0, 1, ..., t-1 for the
-  smallest t at which a positive path over {t, ..., k-1} starts at t, then
-  the walk of that suffix from t.  ``kmeans`` numbers the clusters by first
-  appearance, so on a pipeline matrix that prefix is in document order.
+  The no-path rule (``_suffix_start`` and ``_walk``): if some positive path
+  covers every node, the walk starts at the first argmax of g[full, .].  If
+  none does, the order is 0, 1, ..., t-1 for the smallest t at which a
+  positive path over {t, ..., k-1} starts at t, then the walk of that
+  suffix from t.  Either way the walk reads positive states alone: the
+  successor of a positive state is positive.  ``kmeans`` numbers the
+  clusters by first appearance, so on a pipeline matrix that prefix is in
+  document order.
   The dense pass then fills only the k - t suffix nodes: its cells depend
   only on the weights among them, and numbering them 0, ..., k-t-1 keeps
   their order, so the walk is the same.
@@ -47,8 +49,9 @@ choice of start and end node.
 
 All work happens in log space; a zero-probability edge contributes -inf,
 so paths through missing transitions stay representable and always rank
-below any all-positive path.  Ties on log-probability resolve to the
-lexicographically smallest order in every solver.
+below any all-positive path.  When a positive path exists, ``solve_dp``
+returns the lexicographically smallest optimal order; when none does, the
+no-path rule's order.
 """
 
 from __future__ import annotations
@@ -90,11 +93,6 @@ def available_backends() -> list[str]:
     return ["pure"]
 
 
-def _log_weights(matrix: TransitionMatrix) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(matrix.probs)
-
-
 def path_probability(matrix: TransitionMatrix, order: list[int]) -> float:
     """Sum of log transition probabilities along order; -inf on any zero edge."""
     if sorted(order) != list(range(matrix.k)):
@@ -111,9 +109,10 @@ def path_probability(matrix: TransitionMatrix, order: list[int]) -> float:
 def solve_dp(matrix: TransitionMatrix, backend: str | None = None) -> HamiltonianPath:
     """Exact solution via the subset DP, reconstructed front to back.
 
-    Both paths record, per state (S, i), the smallest successor attaining
-    g[S, i]; walked from the start the no-path rule picks (see the module
-    docstring), they yield the lexicographically smallest optimal order.
+    Both paths record, per positive state (S, i), the smallest successor
+    attaining g[S, i]; walked by the no-path rule (see the module
+    docstring), they yield the lexicographically smallest optimal order
+    when a positive path exists.
     ``backend`` may only be None or "pure" (see ``available_backends``).
     """
     k = matrix.k
@@ -127,7 +126,8 @@ def solve_dp(matrix: TransitionMatrix, backend: str | None = None) -> Hamiltonia
         )
     if backend not in (None, "pure"):
         raise ValueError(f"unknown dp backend {backend!r}")
-    logw = np.ascontiguousarray(_log_weights(matrix).T, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        logw = np.ascontiguousarray(np.log(matrix.probs).T, dtype=np.float64)
     order = _frontier_order(logw)
     if order is None:
         order = _dense_order(logw)
@@ -144,11 +144,12 @@ def _suffix_start(k: int, positive) -> int:
     return next(t for t in range(1, k) if positive(full >> t << t, t))
 
 
-def _walk(k: int, prefix: int, start: int, successor) -> list[int]:
-    """0, ..., prefix-1, then the walk over {prefix, ..., k-1} from start along
-    successor(S, i), the next node of the best path over S from i."""
+def _walk(k: int, prefix: int, first: int, successor) -> list[int]:
+    """0, ..., prefix-1, then the walk over {prefix, ..., k-1} along successor(S, i),
+    the next node of the best path over S from i.  The walk starts at first, the
+    first argmax of g[full, .], when prefix is 0, and else at prefix."""
     order = list(range(prefix))
-    mask, cur = (1 << k) - 1 >> prefix << prefix, start
+    mask, cur = (1 << k) - 1 >> prefix << prefix, prefix or first
     while True:
         order.append(cur)
         if len(order) == k:
@@ -187,8 +188,8 @@ def _frontier_order(logw: np.ndarray) -> list[int] | None:
         layers.append((keys.astype(np.uint32), succ.astype(np.int8)))
 
     prefix = _suffix_start(k, lambda mask, i: _next(layers, mask, i) >= 0)
-    start = prefix if prefix else int(keys[np.argmax(values)] & 31)
-    return _walk(k, prefix, start, lambda mask, i: _next(layers, mask, i))
+    first = int(keys[np.argmax(values)] & 31)
+    return _walk(k, prefix, first, lambda mask, i: _next(layers, mask, i))
 
 
 def _grow(logw: np.ndarray, keys: np.ndarray, values: np.ndarray, free: np.ndarray):
@@ -229,8 +230,8 @@ def _dense_order(logw: np.ndarray) -> list[int]:
     prefix = _suffix_start(k, lambda mask, i: (int(reach[mask]) >> i) & 1)
     del reach
     succ, final = _successors(np.ascontiguousarray(logw[prefix:, prefix:]))
-    start = prefix if prefix else int(np.argmax(final))  # the walk enters a suffix at its first node
-    return _walk(k, prefix, start, lambda mask, i: prefix + int(succ[mask >> prefix, i - prefix]))
+    first = int(np.argmax(final))
+    return _walk(k, prefix, first, lambda mask, i: prefix + int(succ[mask >> prefix, i - prefix]))
 
 
 def _reach(logw: np.ndarray) -> np.ndarray:
@@ -264,8 +265,9 @@ def _successors(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``logw`` holds the start-at weights w[j, i], the transposed transition
     log-probabilities: g[S, i] = max over j in S\\{i} of g[S\\{i}, j] + logw[j, i]
-    from g[{i}, i] = 0.  succ[S, i] is the smallest j attaining that max, or
-    the smallest j in S\\{i} when every candidate is -inf; other cells are unset.
+    from g[{i}, i] = 0.  succ[S, i] is the smallest j attaining that max.  A
+    cell whose g is -inf holds an index the walk never reads (see the module
+    docstring); other cells are unset.
 
     One vectorized gather/max per (cardinality, node) pair, keeping two
     layers of values.  A layer holds a row of k values per subset; cells for
@@ -293,14 +295,11 @@ def _successors(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for i in range(k):
             rows = np.flatnonzero((layer >> i) & 1)
             with_i = layer[rows]
-            prevs = with_i ^ (1 << i)
-            candidates = prev[rank[prevs]]
+            candidates = prev[rank[with_i ^ (1 << i)]]
             candidates += logw[:, i]
             arg = candidates.argmax(axis=1)
-            best = candidates[np.arange(len(arg)), arg]
-            lowest = np.bitwise_count((prevs & -prevs) - 1)
-            values[rows, i] = best
-            succ[with_i, i] = np.where(best == -np.inf, lowest, arg)
+            values[rows, i] = candidates[np.arange(len(arg)), arg]
+            succ[with_i, i] = arg
         prev, cur = cur, prev
     return succ, prev[0].copy()
 
@@ -309,15 +308,16 @@ def solve_greedy(matrix: TransitionMatrix) -> HamiltonianPath:
     """Best of k greedy walks, one from each start node.
 
     Each walk moves to the unvisited successor with maximal probability
-    (ties to the lowest id).  Never better than solve_dp, but runs in
-    O(k^3) for any k.
+    (ties to the lowest id).  The first walk of the highest log-probability
+    wins: walk s starts at node s, so that is the lexicographically smallest
+    of the best walks.  Never better than solve_dp, but runs in O(k^3) for
+    any k.
     """
     k = matrix.k
     if k < 1:
         raise ValueError("matrix must have at least one state")
     probs = matrix.probs
-    best_order: list[int] | None = None
-    best_lp = _NEG_INF
+    walks = []
     for start in range(k):
         visited = np.zeros(k, dtype=bool)
         visited[start] = True
@@ -329,9 +329,6 @@ def solve_greedy(matrix: TransitionMatrix) -> HamiltonianPath:
             cur = int(np.argmax(np.where(visited, -1.0, probs[cur])))
             visited[cur] = True
             order.append(cur)
-        lp = path_probability(matrix, order)
-        if best_order is None or lp > best_lp or (lp == best_lp and order < best_order):
-            best_order = order
-            best_lp = lp
-    assert best_order is not None
+        walks.append((path_probability(matrix, order), order))
+    best_lp, best_order = max(walks, key=lambda walk: walk[0])  # max keeps the first of equals
     return HamiltonianPath(order=best_order, log_prob=best_lp, method="greedy")

@@ -47,8 +47,6 @@ class _Stages:
         started = time.perf_counter()
         try:
             result = fn()
-        except PipelineStageError:
-            raise
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
         self.timings[name] = time.perf_counter() - started
@@ -103,8 +101,9 @@ def run_pipeline(
             matrix.probs, matrix.k, matrix.zero_rows
         )
 
-        # The solvers break ties by lowest index; with clusters numbered by first
-        # appearance, a tie (every path crossing a zero edge, say) goes to document order.
+        # The solvers break ties by lowest index, and solve_dp's no-path rule puts
+        # the lowest clusters first; with clusters numbered by first appearance,
+        # both go to document order.
         solve = solve_dp if matrix.k <= DP_HARD_CAP else solve_greedy
         path = stages.run("path", lambda: solve(matrix))
         log_prob = artifact_mod.encode_log_prob(path.log_prob)

@@ -28,7 +28,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             status, payload = script(body)
         else:
             status, payload = script[min(len(self.server.requests) - 1, len(script) - 1)]
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -45,8 +45,8 @@ def stub_server():
 
     script is a list of (status, json_payload) pairs served in request
     order, the last entry repeating, or a callable that maps each decoded
-    request body to its (status, json_payload). The server records request
-    bodies.
+    request body to its (status, json_payload). A bytes payload is sent as
+    it is. The server records request bodies.
     """
     servers = []
 

@@ -361,6 +361,20 @@ class TestInspectCommand:
         assert len(error_lines(result)) == 1
         assert error_lines(result)[0].startswith(f"error: corrupt artifact {bad}: ")
 
+    @pytest.mark.parametrize(
+        "mode, what, message",
+        [
+            ("cluster-sum", "matrix", "artifact has no transition matrix (not a markov-cluster run)"),
+            ("llm-full", "clusters", "artifact has no clustering data"),
+        ],
+    )
+    def test_facet_the_mode_does_not_record_exits_2(self, tmp_path, mode, what, message):
+        result, out_dir = run_summarize(tmp_path, CliRunner(), "run", mode=mode)
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(main, ["inspect", str(out_dir / "artifact.json"), "--what", what])
+        assert result.exit_code == 2
+        assert error_lines(result) == [f"error: {message}"]
+
     def test_artifact_without_a_path_exits_2(self, tmp_path):
         art = fixture_artifact(tmp_path)
         with open(art) as fh:
@@ -516,6 +530,17 @@ class TestEvaluateCommand:
         cfg_path = tmp_path / "run.cfg"
         write_config(cfg_path, extra=["embedding.kind = remote", f"embedding.endpoint = {url}"])
         return manifest, cfg_path, server
+
+    @pytest.mark.parametrize("bad", ["cand.txt", "cand.txt\tref.txt\tmarkov-cluster\tmore"])
+    def test_manifest_line_with_the_wrong_field_count_exits_2_before_scoring(
+        self, tmp_path, stub_server, bad
+    ):
+        manifest, cfg_path, server = self.remote_pair(tmp_path, stub_server)
+        manifest.write_text(f"cand.txt\tref.txt\n{bad}\n")
+        result = CliRunner().invoke(main, ["evaluate", str(manifest), "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert error_lines(result) == ["error: manifest line 2: expected 2 or 3 tab-separated fields"]
+        assert server.requests == []
 
     def test_report_path_that_is_a_directory_exits_2_before_any_embedding_call(
         self, tmp_path, stub_server

@@ -62,6 +62,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="NOT_SET_ANYWHERE"):
             parse_config_text("out_dir = ${NOT_SET_ANYWHERE}")
 
+    def test_only_a_line_starting_with_hash_is_a_comment(self):
+        text = "  # out_dir = ignored\nout_dir = runs/x  # where runs go\nllm.endpoint = https://h/v1#frag"
+        assert parse_config_text(text) == {
+            "out_dir": "runs/x  # where runs go",
+            "llm.endpoint": "https://h/v1#frag",
+        }
+
+    def test_line_without_equals_sign_names_the_line(self):
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'chunk_size 120'$"):
+            parse_config_text("seed = 1\n  chunk_size 120\n")
+
+    @pytest.mark.parametrize("raw", ["false", "no", "0", "off", "FALSE", "Off"])
+    def test_false_spellings_parse_to_false(self, raw):
+        assert config_from_mapping({"collapse_runs": raw}).collapse_runs is False
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             config_from_mapping({"chunk_sise": "500"})
@@ -366,6 +381,18 @@ class TestArtifact:
         with open(path, "w") as fh:
             fh.write("{ not json")
         with pytest.raises(ArtifactError):
+            load_artifact(path)
+
+    def test_artifact_that_is_not_an_object_rejected(self, tmp_path):
+        path = str(tmp_path / "artifact.json")
+        with open(path, "w") as fh:
+            fh.write("[]")
+        with pytest.raises(ArtifactError, match=f"^corrupt artifact {re.escape(path)}: not an object$"):
+            load_artifact(path)
+
+    def test_missing_artifact_rejected(self, tmp_path):
+        path = str(tmp_path / "ghost.json")
+        with pytest.raises(ArtifactError, match=f"^cannot read artifact {re.escape(path)}: "):
             load_artifact(path)
 
     def test_wrong_format_version_rejected(self, tmp_path):

@@ -396,6 +396,13 @@ class TestRemoteProvider:
         with pytest.raises(ProtocolError):
             embed_batch(["a", "b"], cfg)
 
+    def test_infinite_value_is_protocol_error(self, stub_server, no_sleep):
+        # The JSON decoder reads the stub's Infinity as a float.
+        server, url = stub_server([(200, _embedding_payload([[1.0, float("inf")]]))])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)
+        with pytest.raises(ProtocolError, match="non-finite embedding values"):
+            embed_batch(["a"], cfg)
+
     def test_malformed_response(self, stub_server, no_sleep):
         server, url = stub_server([(200, {"unexpected": []})])
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)

@@ -96,6 +96,19 @@ class TestValidate:
         assert validate_row_stochastic(TransitionMatrix(probs, 2, frozenset({0})))
         assert not validate_row_stochastic(TransitionMatrix(probs, 2, frozenset()))
 
+    def test_non_finite_entry_fails(self):
+        # A NaN passes the range and row-sum comparisons, so only the finite check rejects it.
+        bad = TransitionMatrix(np.array([[0.5, np.nan], [0.5, 0.5]]), 2, frozenset())
+        assert not validate_row_stochastic(bad)
+
+    def test_entry_above_one_fails(self):
+        bad = TransitionMatrix(np.array([[1.5, 0.0], [0.5, 0.5]]), 2, frozenset())
+        assert not validate_row_stochastic(bad)
+
+    def test_flagged_zero_row_with_a_nonzero_sum_fails(self):
+        probs = np.array([[0.5, 0.5], [1.0, 0.0]])
+        assert not validate_row_stochastic(TransitionMatrix(probs, 2, frozenset({0})))
+
     def test_negative_or_above_one_fails(self):
         assert not validate_row_stochastic(
             TransitionMatrix(np.array([[-0.5, 1.5], [0.5, 0.5]]), 2, frozenset())

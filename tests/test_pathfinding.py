@@ -188,11 +188,19 @@ class TestGreedy:
 
     def test_successor_tie_takes_lowest_id(self):
         # from node 0 both successors tie at 0.5; every full path has a zero
-        # edge, so the walk that honored the tie rule wins the final lex
-        # tie-break only if it chose node 1 before node 2
+        # edge, so all walks tie and the walk from node 0 wins, which reads
+        # 0 1 2 only if it chose node 1 before node 2
         probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         path = solve_greedy(TransitionMatrix(probs, 3, frozenset({1, 2})))
         assert path.order == [0, 1, 2]
+
+    def test_equal_walks_go_to_the_lowest_start(self):
+        # Every edge off the diagonal has probability 1/3, so the walks 0 1 2 3,
+        # 1 0 2 3, 2 0 1 3 and 3 0 1 2 tie at 3 log(1/3): the walk from node 0 wins.
+        probs = np.full((4, 4), 1 / 3)
+        np.fill_diagonal(probs, 0.0)
+        path = solve_greedy(TransitionMatrix(probs, 4, frozenset()))
+        assert (path.order, path.log_prob) == ([0, 1, 2, 3], 3 * math.log(1 / 3))
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "rounded"])
     def test_matches_the_scanning_oracle(self, kind):
@@ -428,8 +436,8 @@ class TestDenseKernel:
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_successor_table_is_the_first_argmax_of_the_full_table(self, k):
-        """succ[S, i] is the lowest j attaining g[S, i] in the full start-at table, or the
-        lowest j of S\\{i} when every candidate is -inf."""
+        """succ[S, i] is the lowest j attaining g[S, i] in the full start-at table,
+        wherever g[S, i] is finite; the walk reads no other cell."""
         for matrix in (random_matrix(k, seed=k), sparse_matrix(k, seed=k)):
             weights = np.ascontiguousarray(log_weights(matrix).T)
             start_at = oracle_dp_table(weights)
@@ -437,15 +445,36 @@ class TestDenseKernel:
             masks = np.arange(1 << k, dtype=np.int64)
             for i in range(k):
                 with_i = masks[((masks >> i) & 1 == 1) & (np.bitwise_count(masks) >= 2)]
-                prevs = with_i ^ (1 << i)
-                candidates = start_at[prevs] + weights[:, i]
+                candidates = start_at[with_i ^ (1 << i)] + weights[:, i]
                 arg = candidates.argmax(axis=1)
                 best = candidates[np.arange(len(arg)), arg]
                 assert best.tobytes() == start_at[with_i, i].tobytes()
-                lowest = np.bitwise_count((prevs & -prevs) - 1)
-                expected = np.where(best == -np.inf, lowest, arg).astype(np.int8)
-                assert succ[with_i, i].tobytes() == expected.tobytes()
+                finite = best > -np.inf
+                assert succ[with_i[finite], i].tobytes() == arg[finite].astype(np.int8).tobytes()
             assert final.tobytes() == start_at[-1].tobytes()
+
+    def test_the_walk_reads_only_positive_states(self, monkeypatch):
+        """Every successor cell of the dense pass whose start-at value is -inf is set
+        to 127, past any node index: a walk that read one would fail."""
+        monkeypatch.setattr(pathfinding, "FRONTIER_SHARE", 0.0)
+        fill = pathfinding._successors
+
+        def poisoned(logw):
+            succ, final = fill(logw)
+            start_at = oracle_dp_table(logw)
+            succ[np.isneginf(start_at)] = 127
+            return succ, final
+
+        monkeypatch.setattr(pathfinding, "_successors", poisoned)
+        matrices = [aside_book(0)]
+        for seed in range(40):
+            k = 1 + seed % 10
+            matrices += special_matrices(k, seed)
+            if k > 1:
+                matrices.append(hub_matrix(k))
+        for matrix in matrices:
+            got, want = solve_dp(matrix), oracle_solve_dp(matrix)
+            assert (got.order, got.log_prob) == (want.order, want.log_prob)
 
     @pytest.mark.parametrize("k", [1, 2, 9, 14])
     def test_dense_tables_are_sized_by_the_weights(self, k):

@@ -105,6 +105,12 @@ class TestRemoteChatProvider:
         with pytest.raises(ProtocolError):
             summarize_cluster(["text"], cfg)
 
+    def test_reply_without_a_completion_is_protocol_error(self, stub_server, no_sleep):
+        server, url = stub_server([(200, {"choices": []})])
+        cfg = LlmProviderConfig(kind="remote-chat", endpoint=url)
+        with pytest.raises(ProtocolError, match=r"missing choices\[0\]\.message\.content"):
+            summarize_cluster(["text"], cfg)
+
     def test_bearer_token_sent(self, stub_server, no_sleep, monkeypatch):
         monkeypatch.setenv("LLM_TOKEN", "hunter2")
         server, url = stub_server([(200, _chat_payload("fine"))])
@@ -252,6 +258,10 @@ class TestRunPipeline:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline("   ", "markov-cluster", pipeline_config())
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown mode: 'markov'$"):
+            run_pipeline("Some document.", "markov", pipeline_config())
 
     def test_stage_errors_carry_stage_name(self):
         cfg = pipeline_config()

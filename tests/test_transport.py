@@ -12,7 +12,7 @@ import pytest
 
 import themepath.transport
 from themepath.embeddings import EmbeddingProviderConfig, embed_batch
-from themepath.errors import TransportError
+from themepath.errors import ProtocolError, TransportError
 from themepath.transport import Remote, map_ordered, post_json
 
 
@@ -51,6 +51,13 @@ def keep_alive_server():
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
+
+
+def test_a_2xx_reply_that_is_not_json_is_a_protocol_error(stub_server, no_sleep):
+    server, url = stub_server([(200, b"<html>busy</html>")])
+    with pytest.raises(ProtocolError, match=f"^non-JSON response from {re.escape(url)}$"):
+        post_json(Remote(url), {"n": 1})
+    assert len(server.requests) == 1  # not retried
 
 
 def test_consecutive_posts_share_one_connection(keep_alive_server):
