@@ -10,7 +10,8 @@ Two providers share one contract ("texts in, one vector per text out"):
 * ``remote`` speaks the OpenAI-compatible embeddings contract, with retry
   and exponential backoff: it posts ``{"model": ..., "input": [texts]}``
   and reads ``data[i].embedding``.  Each reply is decoded into one
-  (n, dim) float64 array; anything else is a ProtocolError.
+  (n, dim) float64 array of finite numbers; anything else is a
+  ProtocolError, raised before the batch is cached.
 
 All vectors are L2-normalized before they leave this module, so Euclidean
 k-means downstream ranks pairs exactly like cosine similarity would.
@@ -144,9 +145,9 @@ class EmbeddingCache:
     """One sqlite3 database, ``embeddings.sqlite3``, inside ``root``.
 
     A row maps ``key(model, text)`` to the vector's little-endian float64
-    bytes.  A row that does not decode is a miss.  A store that is not a
-    database is warned about once and left as it is; the cache then reads
-    and writes nothing.  One connection serves every thread, under a lock;
+    bytes.  A row that does not decode to finite numbers is a miss.  A
+    store that is not a database is warned about once and left as it is;
+    the cache then reads and writes nothing.  One connection serves every thread, under a lock;
     close it with ``close()`` or a ``with`` block.  Values are deterministic
     per key, so concurrent last-write-wins races are benign.
     """
@@ -154,8 +155,8 @@ class EmbeddingCache:
     FILENAME = "embeddings.sqlite3"
 
     def __init__(self, root: str):
-        # Imported on first use, like requests in transport: offline runs and
-        # the CLI's start-up never pay for it.
+        # Imported on first use, like http.client in transport: offline runs
+        # and the CLI's start-up never pay for it.
         import sqlite3
 
         os.makedirs(root, exist_ok=True)
@@ -198,10 +199,12 @@ class EmbeddingCache:
         if row is None:
             return None
         value = row[0]
-        if not isinstance(value, bytes) or not value or len(value) % 8:
-            log.warning("corrupt cache entry %s in %s treated as miss", key, self.path)
-            return None
-        return np.frombuffer(value, dtype="<f8").astype(np.float64)
+        if isinstance(value, bytes) and value and not len(value) % 8:
+            vec = np.frombuffer(value, dtype="<f8").astype(np.float64)
+            if np.isfinite(vec).all():
+                return vec
+        log.warning("corrupt cache entry %s in %s treated as miss", key, self.path)
+        return None
 
     def put(self, model_name: str, texts: list[str], vectors: list[np.ndarray]) -> None:
         """Store one batch of vectors, one per text, in one transaction."""
@@ -229,6 +232,10 @@ def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndar
         raise ProtocolError(f"response vectors are not equal-length lists of numbers: {exc}") from exc
     if vectors.ndim != 2 or vectors.shape[1] == 0:
         raise ProtocolError(f"response vectors do not form a non-empty (n, dim) table: shape {vectors.shape}")
+    # Checked before anything is normalized or cached: a cached bad vector
+    # would be served on every later run without asking the provider again.
+    if not np.isfinite(vectors).all():
+        raise ProtocolError("provider returned non-finite embedding values")
     # Freed first, the reply's lists of floats make room for the normalized
     # rows; normalizing before raised a four-book process's RSS by 1.4 MB.
     del data, items
@@ -278,7 +285,4 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     dims = {v.shape[0] for v in vectors}
     if len(dims) != 1:
         raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    out = np.stack(vectors)
-    if not np.isfinite(out).all():
-        raise ProtocolError("provider returned non-finite embedding values")
-    return out
+    return np.stack(vectors)

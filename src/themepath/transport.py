@@ -7,10 +7,18 @@ both provider configs inherit it, so the settings mean the same under
 request with retries; ``map_ordered`` runs independent calls (embedding
 batches, cluster summaries) concurrently on worker threads that live for
 the process.
+
+Requests go out on the standard library's ``http.client`` (``_http``,
+imported on the first call).  Each thread keeps one kept-alive connection
+per scheme, host and port, and closes them when it ends.  The proxy
+variables ``http_proxy``, ``https_proxy``, ``all_proxy`` and ``no_proxy``
+(either case) are honoured; TLS is verified against the system's trust
+store, or ``SSL_CERT_FILE``/``SSL_CERT_DIR`` when set.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -18,12 +26,9 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ProtocolError, TransportError
-
-if TYPE_CHECKING:
-    import requests
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -58,24 +63,10 @@ class Remote:
             raise ValueError("parallelism must be >= 1")
 
 
-# One session per thread: requests.Session is not documented as thread-safe,
-# and each thread's session keeps its connections open for its next calls.
-_sessions = threading.local()
-
-
-def _session() -> requests.Session:
-    import requests
-
-    session = getattr(_sessions, "session", None)
-    if session is None:
-        session = _sessions.session = requests.Session()
-    return session
-
-
 # Worker threads live for the process, one pool per worker count, so each
-# worker's session keeps its connection open from one map_ordered call to
-# the next.  A worker that calls map_ordered runs the inner map inline: a
-# pool whose every worker waits on that same pool would never finish.
+# worker's connections stay open from one map_ordered call to the next.  A
+# worker that calls map_ordered runs the inner map inline: a pool whose
+# every worker waits on that same pool would never finish.
 _pools: dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
 _worker = threading.local()
@@ -151,45 +142,59 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> l
 def post_json(remote: Remote, payload: dict) -> dict:
     """POST a JSON payload to ``remote.endpoint``; return the decoded JSON response.
 
-    Connection failures and retryable HTTP statuses are retried with
-    exponential backoff (remote.max_retries additional attempts).  A
-    request that can never be sent (no scheme, an unknown scheme, a
-    malformed host, a payload holding NaN or infinity) raises
-    TransportError on the first attempt.  Anything that comes back 2xx but
-    is not JSON raises ProtocolError.  Requests go through the calling
-    thread's session, so consecutive calls to one host reuse a kept-alive
-    connection.  When the environment variable named by
+    Connection failures, timeouts and retryable HTTP statuses are retried
+    with exponential backoff (remote.max_retries additional attempts);
+    ``remote.timeout`` bounds every socket operation.  A request that can
+    never be sent (no scheme, an unknown scheme, a malformed host or port, a
+    payload holding NaN or infinity) raises TransportError on the first
+    attempt.  Any other status outside 2xx, 3xx included (no redirect is
+    followed), raises ProtocolError quoting the start of the reply, and so
+    does a 2xx reply that is not JSON.
+
+    The request goes out on the calling thread's kept-alive connection to
+    the endpoint's scheme, host and port, opened on first use and opened
+    again if the server has closed it; through a proxy when the ``*_proxy``
+    variables name one and ``no_proxy`` does not exempt the host.  Replies
+    are asked for uncompressed.  When the environment variable named by
     remote.auth_token_env holds a token, it is sent as
     ``Authorization: Bearer <token>``; unset or empty, no header is sent.
     """
-    # Imported on first use: loading requests is a large share of the CLI's
-    # start-up, and runs with offline providers never send a request.
-    import requests
-    from requests.exceptions import InvalidJSONError, InvalidSchema, InvalidURL, MissingSchema
+    # Imported on first use: runs with offline providers never send a request.
+    import http.client
+
+    from . import __version__, _http
 
     url = remote.endpoint
+    try:
+        link, target, headers = _http.route(url)
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise TransportError(f"cannot send to {url!r}: {exc}") from exc
+    headers.update({"Content-Type": "application/json", "User-Agent": f"themepath/{__version__}"})
     token = os.environ.get(remote.auth_token_env) if remote.auth_token_env else None
-    headers = {"Authorization": f"Bearer {token}"} if token else None
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
     last_error: Exception | None = None
     for attempt in range(remote.max_retries + 1):
         if attempt > 0:
             _sleep(_BACKOFF_BASE * (2 ** (attempt - 1)))
         try:
-            resp = _session().post(url, json=payload, headers=headers, timeout=remote.timeout)
-        except (MissingSchema, InvalidSchema, InvalidURL, InvalidJSONError) as exc:
-            # A malformed URL or a payload that is not JSON (NaN, say) fails
-            # the same way on every attempt.
+            status, data = _http.exchange(link, remote.timeout, target, body, headers)
+        except (http.client.InvalidURL, ValueError) as exc:
+            # http.client refuses to put the target or a header value (a
+            # token holding a line break, say) on the wire, every time.
             raise TransportError(f"cannot send to {url!r}: {exc}") from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
-        if resp.status_code in _RETRYABLE_STATUS:
-            last_error = TransportError(f"HTTP {resp.status_code} from {url}")
+        if status in _RETRYABLE_STATUS:
+            last_error = TransportError(f"HTTP {status} from {url}")
             continue
-        if not 200 <= resp.status_code < 300:
-            raise ProtocolError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
+        if not 200 <= status < 300:
+            text = data.decode("utf-8", errors="replace")
+            raise ProtocolError(f"HTTP {status} from {url}: {text[:200]}")
         try:
-            return resp.json()
+            return json.loads(data)
         except ValueError as exc:
             raise ProtocolError(f"non-JSON response from {url}") from exc
     raise TransportError(f"{url} unreachable after {remote.max_retries + 1} attempts: {last_error}")

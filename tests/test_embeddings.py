@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import logging
+import math
 import os
 import re
 import sqlite3
@@ -240,6 +241,13 @@ class TestCache:
             _set_row(cache.path, cache.key("m", "t"), b"")
             assert cache.get("m", "t") is None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_is_a_miss(self, tmp_path, bad):
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put("m", ["t"], [np.array([1.0])])
+            _set_row(cache.path, cache.key("m", "t"), np.array([1.0, bad]).tobytes())
+            assert cache.get("m", "t") is None
+
     def test_cached_results_match_uncached(self, tmp_path):
         texts = ["alpha beta", "gamma", "alpha beta"]
         plain = embed_batch(texts, EmbeddingProviderConfig())
@@ -341,7 +349,7 @@ class TestStore:
 
 
 def test_cli_import_leaves_sqlite3_and_requests_unloaded():
-    code = "import sys, themepath.cli; print(sorted({'sqlite3', 'requests'} & set(sys.modules)))"
+    code = "import sys, themepath.cli; print(sorted({'sqlite3', 'requests', 'http.client'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
 
@@ -402,6 +410,15 @@ class TestRemoteProvider:
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url)
         with pytest.raises(ProtocolError, match="non-finite embedding values"):
             embed_batch(["a"], cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_reply_is_refused_before_it_is_cached(self, stub_server, no_sleep, tmp_path):
+        server, url = stub_server([(200, b'{"data": [{"embedding": [1.0, Infinity]}]}')])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="non-finite embedding values"):
+                embed_batch(["a"], cfg)
+        assert len(server.requests) == 2  # the second call asked again: nothing was cached
 
     def test_malformed_response(self, stub_server, no_sleep):
         server, url = stub_server([(200, {"unexpected": []})])
