@@ -13,11 +13,14 @@ artifact.  A log-probability of minus infinity is encoded as the string
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import Field, dataclass, field, fields
+from typing import TextIO
 
 import numpy as np
 
@@ -91,25 +94,29 @@ def centroids_digest(centroids: np.ndarray) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()
 
 
+_CANONICAL_JSON = dict(sort_keys=True, indent=2, separators=(",", ": "), ensure_ascii=False, allow_nan=False)
+
+
 def to_canonical_json(data: dict) -> str:
-    return json.dumps(
-        data, sort_keys=True, indent=2, separators=(",", ": "), ensure_ascii=False, allow_nan=False
-    ) + "\n"
+    return json.dumps(data, **_CANONICAL_JSON) + "\n"
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8 via a temp file in the same directory plus rename.
+@contextlib.contextmanager
+def _atomic_text_file(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces ``path`` when the block ends, not before.
 
-    The file gets the mode ``open(path, "w")`` would give it: 0666 less
-    the umask.
+    It is written as a temp file in the same directory, renamed onto
+    ``path`` on success and removed on failure.  Line ends are written as
+    they are.  The file gets the mode ``open(path, "w")`` would give it:
+    0666 less the umask.
     """
     path = os.path.abspath(path)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -117,8 +124,17 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 via a temp file in the same directory plus rename."""
+    with _atomic_text_file(path) as fh:
+        fh.write(text)
+
+
 def save_artifact(artifact: RunArtifact, path: str) -> None:
-    write_atomic(path, to_canonical_json(artifact.to_dict()))
+    """Write ``to_canonical_json(artifact.to_dict())``, streamed: the text is never held whole."""
+    with _atomic_text_file(path) as fh:
+        json.dump(artifact.to_dict(), fh, **_CANONICAL_JSON)
+        fh.write("\n")
 
 
 def load_artifact(path: str) -> RunArtifact:

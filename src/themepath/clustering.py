@@ -62,7 +62,18 @@ def _squared_distances(
 
 
 def distinct_count(vectors: np.ndarray) -> int:
-    return np.unique(vectors, axis=0).shape[0]
+    """The number of distinct rows, counted as ``np.unique(vectors, axis=0)`` does.
+
+    The rows are sorted as opaque bytes.  Adding 0.0 turns -0.0 into 0.0,
+    so finite rows that compare equal have equal bytes.  ``np.unique``
+    imports ``numpy.ma``, which no stage otherwise needs.
+    """
+    rows = np.ascontiguousarray(vectors, dtype=np.float64) + 0.0
+    if rows.shape[0] == 0:
+        return 0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _squared_residuals(vectors: np.ndarray, targets: np.ndarray, work: np.ndarray) -> np.ndarray:

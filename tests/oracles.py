@@ -77,6 +77,11 @@ def oracle_chunk_document(text: str, cfg: ChunkerConfig) -> list[Chunk]:
         start = index * stride
 
 
+def oracle_distinct_count(vectors: np.ndarray) -> int:
+    """The number of distinct rows, as ``np.unique`` counts them (-0.0 equals 0.0)."""
+    return len(np.unique(vectors, axis=0))
+
+
 def solve_brute_force(matrix: TransitionMatrix) -> HamiltonianPath:
     """Exhaustive permutation scan; exact oracle for k <= 10.
 
@@ -245,7 +250,7 @@ def oracle_kmeans(
     vectors = np.asarray(vectors, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k = min(k, len(np.unique(vectors, axis=0)))
+    k = min(k, oracle_distinct_count(vectors))
     norms = _squared_norms(vectors)
     work = np.empty_like(vectors)
     if init_centroids is not None:

@@ -1,14 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
-from oracles import oracle_kmeans
+from oracles import oracle_distinct_count, oracle_kmeans
+import themepath
 from themepath import clustering, pipeline
 from themepath.chunking import ChunkerConfig, chunk_document
 from themepath.clustering import (
+    _feasible_k,
     _squared_distances,
     _squared_norms,
     choose_k,
@@ -105,6 +110,53 @@ class TestDistinctCount:
 
         monkeypatch.setattr(clustering, "distinct_count", recording)
         return rows
+
+    @staticmethod
+    def rows_with_repeats(seed, n, d):
+        """Rows drawn from a few values, signed zeros among them, so rows repeat."""
+        rng = np.random.default_rng(seed)
+        return rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=(n, d), p=[0.4, 0.4, 0.1, 0.1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (12, 1), (40, 2), (60, 5)])
+    def test_matches_the_oracle_on_repeated_rows(self, seed, shape):
+        vectors = self.rows_with_repeats(seed, *shape)
+        assert distinct_count(vectors) == oracle_distinct_count(vectors)
+        assert distinct_count(vectors[::-1]) == oracle_distinct_count(vectors)
+
+    def test_signed_zeros_are_equal(self):
+        vectors = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -1.0]])
+        assert distinct_count(vectors) == oracle_distinct_count(vectors) == 3
+
+    def test_rows_that_differ_in_one_bit_are_distinct(self):
+        vectors = np.array([[1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)], [1.0, 2.0]])
+        assert distinct_count(vectors) == oracle_distinct_count(vectors) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_feasible_k_matches_the_oracle_up_to_and_beyond_n(self, seed):
+        vectors = self.rows_with_repeats(seed, 9, 2)
+        for k in range(1, 13):
+            assert _feasible_k(vectors, k) == min(k, oracle_distinct_count(vectors))
+
+    def test_a_mock_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"]))
+        config = tmp_path / "run.cfg"
+        config.write_text(f"chunk_size = {tokens_per_chunk()}\noverlap = 0\nk = 3\n")
+        code = (
+            "import sys\n"
+            "from themepath.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        args = ["summarize", str(doc), "--provider", "mock", "--config", str(config), "--out-dir", str(tmp_path / "run")]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(themepath.__file__))}
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "False True"
+        assert os.path.exists(tmp_path / "run" / "artifact.json")
 
     def test_kmeans_checks_only_a_prefix_when_it_has_k_distinct_rows(self, monkeypatch):
         rows = self.record_calls(monkeypatch)

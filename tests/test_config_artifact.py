@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -358,6 +359,38 @@ class TestArtifact:
         path = str(tmp_path / "artifact.json")
         save_artifact(sample_artifact(), path)
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+    def test_saved_bytes_are_the_canonical_json(self, tmp_path):
+        art = sample_artifact()
+        art.final_summary = "Caf\u00e9 \u2014 line one\r\nline two \U0001f600"
+        art.chunks = [{"byte_span": [i, i + 1], "token_span": [i, i + 1]} for i in range(50)]
+        path = str(tmp_path / "artifact.json")
+        save_artifact(art, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == to_canonical_json(art.to_dict()).encode("utf-8")
+
+    def test_saving_streams_the_text(self, tmp_path):
+        # About 2 MB of JSON: held whole, as a str and its UTF-8 bytes, it
+        # would trace over twice that.
+        art = sample_artifact()
+        art.chunks = [{"byte_span": [i, i + 1], "token_span": [i, i + 1]} for i in range(20_000)]
+        size = len(to_canonical_json(art.to_dict()))
+        tracemalloc.start()
+        try:
+            save_artifact(art, str(tmp_path / "artifact.json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(tmp_path / "artifact.json") == size
+        assert peak < size / 8
+
+    def test_a_save_that_fails_midway_leaves_neither_file(self, tmp_path):
+        art = sample_artifact()
+        art.chunks = [{"byte_span": [i, i + 1], "token_span": [i, i + 1]} for i in range(5_000)]
+        art.path = {"order": [0], "log_prob": float("nan"), "method": "dp"}  # sorts after "chunks"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            save_artifact(art, str(tmp_path / "artifact.json"))
+        assert os.listdir(tmp_path) == []
 
     def test_failed_write_leaves_neither_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):

@@ -529,6 +529,14 @@ class TestRemoteProvider:
         assert [r["body"]["input"] for r in healthy.requests] == [failing]
         assert np.array_equal(out, _expected_rows(texts))
 
+    def test_a_zero_row_in_a_reply_is_degenerate_and_not_cached(self, stub_server, no_sleep, tmp_path):
+        server, url = stub_server([(200, _embedding_payload([[1.0, 0.0], [0.0, 0.0]]))])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))
+        with pytest.raises(DegenerateInputError):
+            embed_batch(["a", "b"], cfg)
+        with EmbeddingCache(str(tmp_path)) as cache:
+            assert cache.get(cfg.model_name, "a") is None
+
     def test_bearer_token_from_env(self, stub_server, no_sleep, monkeypatch):
         monkeypatch.setenv("EMBED_TOKEN", "sesame")
         server, url = stub_server([(200, _embedding_payload([[1.0, 0.0]]))])
@@ -542,3 +550,87 @@ class TestRemoteProvider:
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, auth_token_env="EMBED_TOKEN")
         embed_batch(["a"], cfg)
         assert "authorization" not in {name.lower() for name in server.requests[0]["headers"]}
+
+
+WIDE = 768
+
+
+def _wide_vector(text):
+    """A 768-dim vector of its own for each text, far from unit length."""
+    rng = np.random.default_rng(int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little"))
+    return rng.standard_normal(WIDE) * 10.0 ** rng.integers(-3, 4)
+
+
+class TestOneOutputArray:
+    """``embed_batch`` writes hits and replies into the rows of one (n, dim) array."""
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("hits", [True, False], ids=["hits", "no-hits"])
+    def test_mixed_hits_and_batches_give_the_bits_of_normalize(
+        self, stub_server, no_sleep, tmp_path, parallelism, hits
+    ):
+        texts = [f"text {i}" for i in range(23)]
+        cached = texts[1::3] if hits else []  # without hits, the first reply allocates the output
+        server, url = stub_server(
+            lambda body: (200, _embedding_payload([_wide_vector(t) for t in body["input"]]))
+        )
+        cfg = EmbeddingProviderConfig(
+            kind="remote", endpoint=url, batch_size=4, parallelism=parallelism, cache_dir=str(tmp_path)
+        )
+        want = np.stack([normalize(_wide_vector(t)) for t in texts])
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put(cfg.model_name, cached, [want[texts.index(t)] for t in cached])
+        # Switch threads often, so workers race to allocate and fill the output.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = embed_batch(texts, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.dtype == np.float64 and out.shape == (len(texts), WIDE)
+        assert out.tobytes() == want.tobytes()
+        requests = len(server.requests)
+        assert requests == math.ceil((len(texts) - len(cached)) / 4)
+        # The replies were cached with the same bits, and a warm call asks for nothing.
+        again = embed_batch(texts, cfg)
+        assert again.tobytes() == want.tobytes()
+        assert len(server.requests) == requests
+
+    def test_an_embed_served_from_the_cache_holds_one_copy(self, stub_server, no_sleep, tmp_path):
+        texts = [f"text {i}" for i in range(256)]
+        server, url = stub_server([(500, {})])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))
+        want = np.stack([normalize(_wide_vector(t)) for t in texts])
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put(cfg.model_name, texts, want)
+        tracemalloc.start()
+        try:
+            out = embed_batch(texts, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert server.requests == []
+        assert out.tobytes() == want.tobytes()
+        # A list of per-row arrays and its stacked copy would need twice the output.
+        assert peak < 1.5 * out.nbytes
+
+    def test_a_hit_and_a_reply_of_different_widths_are_refused(self, stub_server, no_sleep, tmp_path):
+        server, url = stub_server([(200, _embedding_payload([[1.0, 0.0, 0.0]]))])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put(cfg.model_name, ["a"], [np.array([1.0, 0.0])])
+        with pytest.raises(ProtocolError, match=re.escape("inconsistent embedding dimensions: [2, 3]")):
+            embed_batch(["a", "b"], cfg)
+        with EmbeddingCache(str(tmp_path)) as cache:
+            assert cache.get(cfg.model_name, "b") is None  # the refused reply was not cached
+
+    def test_cache_hits_of_different_widths_are_refused(self, tmp_path):
+        cfg = EmbeddingProviderConfig(cache_dir=str(tmp_path))
+        with EmbeddingCache(str(tmp_path)) as cache:
+            cache.put(cfg.model_name, ["a", "b"], [np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0])])
+        with pytest.raises(ProtocolError, match=re.escape("inconsistent embedding dimensions: [2, 3]")):
+            embed_batch(["a", "b"], cfg)
+
+    def test_page_cache_is_capped(self, tmp_path):
+        with EmbeddingCache(str(tmp_path)) as cache:
+            assert cache._db.execute("PRAGMA cache_size").fetchone() == (-EmbeddingCache.CACHE_KIB,)
