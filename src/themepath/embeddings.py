@@ -9,9 +9,12 @@ Two providers share one contract ("texts in, one vector per text out"):
   every downstream stage testable offline.
 * ``remote`` speaks the OpenAI-compatible embeddings contract, with retry
   and exponential backoff: it posts ``{"model": ..., "input": [texts]}``
-  and reads ``data[i].embedding``.  Each reply is decoded into one
-  (n, dim) float64 array of finite numbers; anything else is a
-  ProtocolError, raised before the batch is cached.
+  and reads ``data[i].embedding``.  Up to ``parallelism`` worker threads
+  send batches and receive their replies as raw bytes; the calling thread
+  decodes each reply into one (n, dim) float64 array of finite numbers,
+  in input order as the replies land, so one decoded reply is alive at a
+  time.  Anything else is a ProtocolError, raised before the batch is
+  cached.
 
 Each provider returns one (m, dim) block of unit rows, normalized in place,
 so Euclidean k-means downstream ranks pairs exactly like cosine similarity
@@ -22,7 +25,8 @@ into its rows; no per-row list or closing copy is kept.
 The cache is one sqlite3 file, ``embeddings.sqlite3`` in ``cache_dir``,
 with one row per (model, text) holding the vector's float64 bytes.  An
 ``embed_batch`` call opens it once, writes each fetched batch in one
-transaction from the worker that fetched it, and closes it on the way out.
+transaction from the calling thread as the batch lands, and closes it on
+the way out.
 Its connection keeps a page cache of ``CACHE_KIB`` KiB, not sqlite's 2 MiB.
 """
 
@@ -37,13 +41,12 @@ import threading
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .chunking import split_tokens
 from .errors import DegenerateInputError, ProtocolError
-from .transport import Remote, map_ordered, post_json
+from .transport import Remote, map_ordered, parse_json, post
 
 log = logging.getLogger(__name__)
 
@@ -243,12 +246,17 @@ class EmbeddingCache:
                     self._db.executemany("INSERT OR REPLACE INTO vectors VALUES (?, ?)", rows)
 
 
-def _remote_call(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
-    data = post_json(cfg, {"model": cfg.model_name, "input": texts})
+def _reply_vectors(reply: bytes, n: int, cfg: EmbeddingProviderConfig) -> np.ndarray:
+    """Decode one embeddings reply into an (n, dim) block of unit rows.
+
+    Anything but ``n`` equal-length lists of finite numbers is a
+    ProtocolError.
+    """
+    data = parse_json(cfg, reply)
     items = data.get("data") if isinstance(data, dict) else None
     got = len(items) if isinstance(items, list) else type(items).__name__
-    if got != len(texts):
-        raise ProtocolError(f"expected 'data' to list {len(texts)} vectors, got {got}")
+    if got != n:
+        raise ProtocolError(f"expected 'data' to list {n} vectors, got {got}")
     if not all(isinstance(item, dict) and "embedding" in item for item in items):
         raise ProtocolError("response items are not objects with an 'embedding' field")
     try:
@@ -271,27 +279,29 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     come.  With cache_dir set, hits skip the provider entirely; results are
     identical either way because providers are pure functions of the text.
     Remote misses go out in batches of batch_size, up to parallelism at
-    once; each batch's vectors are cached in one transaction by the worker
-    that fetched them, so a failed batch costs only itself.  Hits and
-    batches are written into one (n, dim) array, allocated at the first
-    width seen; a hit or batch of another width is a ProtocolError, and such
-    a batch is not cached.
+    once.  The workers only send a batch and receive its reply's bytes; the
+    calling thread decodes, checks and normalizes each reply, writes its
+    rows and caches them in one transaction, in input order as soon as that
+    batch and every earlier one have landed, and then drops it.  A failed
+    batch costs only itself: every other batch that was answered is still
+    cached.  Hits and batches are written into one (n, dim) array,
+    allocated at the first width seen; a hit or batch of another width is a
+    ProtocolError, and such a batch is not cached.
     """
     if not texts:
         raise ValueError("embed_batch requires at least one text")
     out: np.ndarray | None = None
-    lock = threading.Lock()  # map_ordered's workers allocate and check concurrently
 
-    def rows(width: int) -> np.ndarray:
-        """The output array, allocated at the first width; refuses any other."""
+    def write(rows, block: np.ndarray) -> None:
         nonlocal out
-        with lock:
-            if out is None:
-                out = np.empty((len(texts), width))
-            elif out.shape[1] != width:
-                raise ProtocolError(f"inconsistent embedding dimensions: {sorted({out.shape[1], width})}")
-            return out
+        width = block.shape[-1]
+        if out is None:
+            out = np.empty((len(texts), width))
+        elif out.shape[1] != width:
+            raise ProtocolError(f"inconsistent embedding dimensions: {sorted({out.shape[1], width})}")
+        out[rows] = block
 
+    remote = cfg.kind == "remote"
     cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
     with cache or contextlib.nullcontext():
         missing: list[int] = []
@@ -300,21 +310,24 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
             if vec is None:
                 missing.append(i)
             else:
-                rows(vec.shape[0])[i] = vec
+                write(i, vec)
 
-        if cfg.kind == "deterministic-test":
-            # One call for all misses, so each distinct word is summed once.
-            provider, batch_size = _test_vectors, max(len(missing), 1)
-        else:
-            provider, batch_size = partial(_remote_call, cfg=cfg), cfg.batch_size
-
-        def fetch(batch: list[int]) -> None:
+        def fetch(batch: list[int]) -> bytes | np.ndarray:
+            """On a worker: the reply's bytes, or the test provider's block."""
             batch_texts = [texts[i] for i in batch]
-            block = provider(batch_texts)
-            rows(block.shape[1])[batch] = block
-            if cache is not None:
-                cache.put(cfg.model_name, batch_texts, block)
+            if remote:
+                return post(cfg, {"model": cfg.model_name, "input": batch_texts})
+            return _test_vectors(batch_texts)
 
+        def land(batch: list[int], answer: bytes | np.ndarray) -> None:
+            """On the calling thread, in input order: decode, write the rows, cache."""
+            block = _reply_vectors(answer, len(batch), cfg) if remote else answer
+            write(batch, block)
+            if cache is not None:
+                cache.put(cfg.model_name, [texts[i] for i in batch], block)
+
+        # The test provider takes every miss in one call, so each distinct word is summed once.
+        batch_size = cfg.batch_size if remote else max(len(missing), 1)
         batches = [missing[i : i + batch_size] for i in range(0, len(missing), batch_size)]
-        map_ordered(fetch, batches, cfg.parallelism)
+        map_ordered(fetch, batches, cfg.parallelism, then=land)
     return out

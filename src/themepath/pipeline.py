@@ -112,7 +112,7 @@ def run_pipeline(
     else:
         summary_order = range(assignment.k)
 
-    summaries = stages.run("summarize_clusters", lambda: summarize_clusters(reps, texts, cfg.llm))
+    summaries = stages.run("summarize_clusters", lambda: summarize_clusters(reps, chunks, cfg.llm))
     ordered = [summaries[c] for c in summary_order]
     result.cluster_summaries = [asdict(s) for s in ordered]
 

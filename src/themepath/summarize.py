@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .chunking import ChunkerConfig, chunk_document, count_tokens
+from .chunking import Chunk, ChunkerConfig, chunk_document, count_tokens
 from .errors import ProtocolError
 from .evaluation import first_sentence
 from .transport import Remote, map_ordered, post_json
@@ -89,14 +89,20 @@ _MOCK_ANSWERS = {
 }
 
 
-def _complete(template: str, texts: list[str], cfg: LlmProviderConfig) -> tuple[str, dict]:
-    """One provider call on prompt ``template`` over ``texts``; returns (text, metadata)."""
+def _complete(
+    template: str, texts: list[str], cfg: LlmProviderConfig, token_counts: list[int | None] | None = None
+) -> tuple[str, dict]:
+    """One provider call on prompt ``template`` over ``texts``; returns (text, metadata).
+
+    ``token_counts`` may give a text's ``count_tokens`` when the caller
+    already knows it (None where it does not); the mock then counts only the
+    rest.
+    """
     if cfg.kind == "mock-extractive":
         text = _MOCK_ANSWERS[template](texts)
-        usage = {
-            "prompt_tokens": sum(count_tokens(t) for t in texts),
-            "completion_tokens": count_tokens(text),
-        }
+        counts = token_counts or [None] * len(texts)
+        prompt_tokens = sum(count_tokens(t) if n is None else n for t, n in zip(texts, counts, strict=True))
+        usage = {"prompt_tokens": prompt_tokens, "completion_tokens": count_tokens(text)}
         return text, {"model": "mock-extractive", "prompt_version": PROMPT_VERSION, "usage": usage}
 
     prompt = _load_template(template).format(sections=SECTION_DELIMITER.join(texts))
@@ -130,12 +136,20 @@ def _map_calls(fn, items: list, cfg: LlmProviderConfig) -> list:
 
 
 def summarize_cluster(
-    rep_texts: list[str], cfg: LlmProviderConfig, cluster_id: int = 0, rep_ids: list[int] | None = None
+    rep_texts: list[str],
+    cfg: LlmProviderConfig,
+    cluster_id: int = 0,
+    rep_ids: list[int] | None = None,
+    rep_tokens: list[int] | None = None,
 ) -> ClusterSummary:
-    """One summary for one cluster's representative chunk texts."""
+    """One summary for one cluster's representative chunk texts.
+
+    ``rep_tokens``, when given, holds each text's token count, so the mock
+    provider need not count the texts again.
+    """
     if not rep_texts:
         raise ValueError("summarize_cluster requires at least one representative text")
-    text, meta = _complete("cluster_summary", rep_texts, cfg)
+    text, meta = _complete("cluster_summary", rep_texts, cfg, rep_tokens)
     return ClusterSummary(
         cluster_id=cluster_id,
         representative_chunk_ids=rep_ids if rep_ids is not None else list(range(len(rep_texts))),
@@ -145,14 +159,19 @@ def summarize_cluster(
 
 
 def summarize_clusters(
-    reps: dict[int, list[int]], texts: list[str], cfg: LlmProviderConfig
+    reps: dict[int, list[int]], chunks: list[Chunk], cfg: LlmProviderConfig
 ) -> dict[int, ClusterSummary]:
-    """Summarize every cluster from its representatives' texts; keyed by cluster id."""
+    """Summarize every cluster from its representative chunks; keyed by cluster id."""
 
     def one(cluster_id: int) -> ClusterSummary:
         rep_ids = reps[cluster_id]
+        rep_chunks = [chunks[i] for i in rep_ids]
         return summarize_cluster(
-            [texts[i] for i in rep_ids], cfg, cluster_id=cluster_id, rep_ids=rep_ids
+            [c.text for c in rep_chunks],
+            cfg,
+            cluster_id=cluster_id,
+            rep_ids=rep_ids,
+            rep_tokens=[c.token_count for c in rep_chunks],
         )
 
     return {summary.cluster_id: summary for summary in _map_calls(one, sorted(reps), cfg)}
@@ -162,8 +181,17 @@ def aggregate_final(ordered_summaries: list[ClusterSummary], cfg: LlmProviderCon
     """Fuse cluster summaries, in the given order, into the final text."""
     if not ordered_summaries:
         raise ValueError("aggregate_final requires at least one summary")
-    text, _ = _complete("final_summary", [s.summary_text for s in ordered_summaries], cfg)
+    texts = [s.summary_text for s in ordered_summaries]
+    text, _ = _complete("final_summary", texts, cfg, [_mock_count(s) for s in ordered_summaries])
     return text
+
+
+def _mock_count(summary: ClusterSummary) -> int | None:
+    """A summary's token count when the mock wrote it: its usage then holds ``count_tokens``'s."""
+    meta = summary.provider_metadata
+    if meta.get("model") != "mock-extractive":
+        return None
+    return meta.get("usage", {}).get("completion_tokens")
 
 
 def summarize_full_document(document: str, cfg: LlmProviderConfig) -> tuple[str, bool]:

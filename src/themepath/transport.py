@@ -3,10 +3,13 @@
 ``Remote`` holds the settings every remote call is made under (endpoint,
 token variable, timeout, retries, calls in flight) and checks them once;
 both provider configs inherit it, so the settings mean the same under
-``embedding.`` and ``llm.``.  ``post_json(remote, payload)`` sends one
-request with retries; ``map_ordered`` runs independent calls (embedding
-batches, cluster summaries) concurrently on worker threads that live for
-the process.
+``embedding.`` and ``llm.``.  ``post(remote, payload)`` sends one request
+with retries and returns the reply's raw bytes; ``post_json`` also parses
+them.  ``map_ordered`` runs independent calls (embedding batches, cluster
+summaries) concurrently on worker threads that live for the process, and
+can hand each result, in input order, to a step on the calling thread as
+soon as it lands: embedding workers only send and receive, and the
+calling thread decodes, normalizes and caches each reply, one at a time.
 
 Requests go out on the standard library's ``http.client`` (``_http``,
 imported on the first call).  Each thread keeps one kept-alive connection
@@ -24,7 +27,7 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
@@ -32,6 +35,7 @@ from .errors import ProtocolError, TransportError
 
 T = TypeVar("T")
 R = TypeVar("R")
+S = TypeVar("S")
 
 # Patchable in tests so retry paths run instantly.
 _sleep = time.sleep
@@ -115,32 +119,68 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
-def map_ordered(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> list[R]:
+def map_ordered(
+    fn: Callable[[T], R], items: Iterable[T], parallelism: int, then: Callable[[T, R], S] | None = None
+) -> list[R] | list[S]:
     """``[fn(x) for x in items]``, with up to ``parallelism`` calls in flight.
+
+    With ``then``, it is ``[then(x, fn(x)) for x in items]``: each ``then``
+    runs on the calling thread, in input order, as soon as its item's call
+    and every earlier one have ended, and the call's result is dropped once
+    its ``then`` has returned.
 
     Results keep input order.  With parallelism <= 1, a single item, or a
     call from inside a worker, it is exactly that list comprehension.  When
-    calls fail, items not yet started are cancelled, the running ones are
-    waited for, and the error of the first failed item in input order is
-    raised, so no call outlives map_ordered.
+    a call or a ``then`` fails, items not yet started are cancelled, the
+    running ones are waited for, ``then`` still runs for every call that
+    succeeded, and the error of the first failed item in input order is
+    raised, so no call outlives map_ordered and a failed item costs only
+    itself.
     """
     items = list(items)
+    if then is None:
+        then = _result
     if parallelism <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
-        return [fn(item) for item in items]
+        return [then(item, fn(item)) for item in items]
     pool = _pool(parallelism)
-    futures = [pool.submit(fn, item) for item in items]
-    wait(futures, return_when=FIRST_EXCEPTION)
+    # Slots are emptied as they are handled, so no result outlives its then.
+    futures: list[Future | None] = [pool.submit(fn, item) for item in items]
+
+    def cancel_rest(future: Future | None = None) -> None:
+        if future is None or (not future.cancelled() and future.exception() is not None):
+            for pending in list(futures):
+                if pending is not None:
+                    pending.cancel()  # only those not yet started
+
     for future in futures:
-        future.cancel()  # only those not yet started
-    wait(futures)
-    for future in futures:
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    return [future.result() for future in futures]
+        future.add_done_callback(cancel_rest)  # a worker's failure stops the rest at once
+    out = []
+    error: Exception | None = None  # the first failure in input order
+    for index, item in enumerate(items):
+        future, futures[index] = futures[index], None
+        try:
+            result = future.result()
+        except Exception as exc:
+            if not future.cancelled():
+                error = error or exc
+            continue
+        try:
+            out.append(then(item, result))
+        except Exception as exc:
+            error = error or exc
+            cancel_rest()
+        del result  # not held while the next item is waited for
+    if error is not None:
+        raise error
+    return out
 
 
-def post_json(remote: Remote, payload: dict) -> dict:
-    """POST a JSON payload to ``remote.endpoint``; return the decoded JSON response.
+def _result(item, result):
+    return result
+
+
+def post(remote: Remote, payload: dict) -> bytes:
+    """POST a JSON payload to ``remote.endpoint``; return the 2xx reply's body as it came.
 
     Connection failures, timeouts and retryable HTTP statuses are retried
     with exponential backoff (remote.max_retries additional attempts);
@@ -148,8 +188,7 @@ def post_json(remote: Remote, payload: dict) -> dict:
     never be sent (no scheme, an unknown scheme, a malformed host or port, a
     payload holding NaN or infinity) raises TransportError on the first
     attempt.  Any other status outside 2xx, 3xx included (no redirect is
-    followed), raises ProtocolError quoting the start of the reply, and so
-    does a 2xx reply that is not JSON.
+    followed), raises ProtocolError quoting the start of the reply.
 
     The request goes out on the calling thread's kept-alive connection to
     the endpoint's scheme, host and port, opened on first use and opened
@@ -193,8 +232,18 @@ def post_json(remote: Remote, payload: dict) -> dict:
         if not 200 <= status < 300:
             text = data.decode("utf-8", errors="replace")
             raise ProtocolError(f"HTTP {status} from {url}: {text[:200]}")
-        try:
-            return json.loads(data)
-        except ValueError as exc:
-            raise ProtocolError(f"non-JSON response from {url}") from exc
+        return data
     raise TransportError(f"{url} unreachable after {remote.max_retries + 1} attempts: {last_error}")
+
+
+def post_json(remote: Remote, payload: dict) -> dict:
+    """``post`` the payload and decode the JSON reply; a 2xx reply that is not JSON is a ProtocolError."""
+    return parse_json(remote, post(remote, payload))
+
+
+def parse_json(remote: Remote, data: bytes):
+    """Decode the body of a 2xx reply from ``remote``; ProtocolError if it is not JSON."""
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise ProtocolError(f"non-JSON response from {remote.endpoint}") from exc

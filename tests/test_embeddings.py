@@ -529,6 +529,81 @@ class TestRemoteProvider:
         assert [r["body"]["input"] for r in healthy.requests] == [failing]
         assert np.array_equal(out, _expected_rows(texts))
 
+    def test_batches_are_decoded_and_normalized_on_the_calling_thread(
+        self, stub_server, no_sleep, monkeypatch
+    ):
+        threads = {"parse_json": [], "_unit_rows": []}
+        for name in threads:
+            original = getattr(embeddings, name)
+
+            def recording(*args, _original=original, _name=name):
+                threads[_name].append(threading.current_thread())
+                return _original(*args)
+
+            monkeypatch.setattr(embeddings, name, recording)
+        server, url = stub_server(_derived_reply)
+        texts = [f"text {i}" for i in range(8)]
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, batch_size=2, parallelism=4)
+        assert np.array_equal(embed_batch(texts, cfg), _expected_rows(texts))
+        assert len(server.requests) == 4
+        assert threads == {name: [threading.current_thread()] * 4 for name in threads}
+
+    def test_a_malformed_reply_refused_by_the_caller_keeps_later_fetched_batches(
+        self, stub_server, no_sleep, tmp_path, monkeypatch
+    ):
+        texts = [f"text {i}" for i in range(8)]
+        batches = [texts[i : i + 2] for i in range(0, 8, 2)]
+        fetched = []
+        later_fetched = threading.Event()
+        lock = threading.Lock()
+        original_post = embeddings.post
+
+        def recording_post(remote, payload):
+            reply = original_post(remote, payload)
+            with lock:
+                fetched.append(payload["input"])
+                if batches[2] in fetched and batches[3] in fetched:
+                    later_fetched.set()
+            return reply
+
+        refused = []
+        original_vectors = embeddings._reply_vectors
+
+        def recording_vectors(reply, n, cfg):
+            try:
+                return original_vectors(reply, n, cfg)
+            except ProtocolError:
+                refused.append((threading.current_thread(), list(fetched)))
+                raise
+
+        monkeypatch.setattr(embeddings, "post", recording_post)
+        monkeypatch.setattr(embeddings, "_reply_vectors", recording_vectors)
+
+        def reply(body):
+            if body["input"] == batches[1]:
+                # A 2xx reply that is not JSON, sent once batches 3 and 4 are in.
+                later_fetched.wait(timeout=10)
+                return 200, b"<html>busy</html>"
+            return _derived_reply(body)
+
+        server, url = stub_server(reply)
+        cfg = EmbeddingProviderConfig(
+            kind="remote", endpoint=url, batch_size=2, parallelism=4, cache_dir=str(tmp_path)
+        )
+        with pytest.raises(ProtocolError, match="^non-JSON response from "):
+            embed_batch(texts, cfg)
+        assert len(refused) == 1
+        thread, fetched_then = refused[0]
+        assert thread is threading.current_thread()
+        assert batches[2] in fetched_then and batches[3] in fetched_then
+        with EmbeddingCache(str(tmp_path)) as cache:
+            for text, row in zip(texts, _expected_rows(texts)):
+                got = cache.get(cfg.model_name, text)
+                if text in batches[1]:
+                    assert got is None
+                else:
+                    assert np.array_equal(got, row)
+
     def test_a_zero_row_in_a_reply_is_degenerate_and_not_cached(self, stub_server, no_sleep, tmp_path):
         server, url = stub_server([(200, _embedding_payload([[1.0, 0.0], [0.0, 0.0]]))])
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))

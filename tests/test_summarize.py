@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import make_topic_document, tokens_per_chunk
-from themepath import pipeline
+from themepath import pipeline, summarize
 from themepath.artifact import decode_log_prob, to_canonical_json
-from themepath.chunking import ChunkerConfig, chunk_document
+from themepath.chunking import ChunkerConfig, chunk_document, count_tokens
 from themepath.config import RunConfig
 from themepath.errors import PipelineStageError, ProtocolError
 from themepath.markov import TransitionMatrix
 from themepath.pathfinding import DP_HARD_CAP, solve_greedy
 from themepath.pipeline import run_pipeline
 from themepath.summarize import (
+    ClusterSummary,
     LlmProviderConfig,
     SECTION_DELIMITER,
     _load_template,
@@ -36,6 +37,13 @@ def pipeline_config(seed=0, mode="markov-cluster", k=3) -> RunConfig:
         seed=seed,
         mode=mode,
     )
+
+
+def _record_counts(monkeypatch) -> list[str]:
+    """Every text the summarize module hands to count_tokens, in call order."""
+    counted = []
+    monkeypatch.setattr(summarize, "count_tokens", lambda text: counted.append(text) or count_tokens(text))
+    return counted
 
 
 class TestMockProvider:
@@ -72,6 +80,18 @@ class TestMockProvider:
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_final([], mock_cfg())
+
+    def test_aggregate_counts_the_summaries_the_mock_did_not_write(self, monkeypatch):
+        counted = _record_counts(monkeypatch)
+        remote = {"model": "gpt-4o-mini", "usage": {"completion_tokens": 9}}
+        mock = {"model": "mock-extractive", "usage": {"completion_tokens": 3}}
+        summaries = [
+            ClusterSummary(0, [0], "Made elsewhere.", remote),
+            ClusterSummary(1, [1], "Made here.", mock),
+            ClusterSummary(2, [2], "No metadata."),
+        ]
+        final = aggregate_final(summaries, mock_cfg())
+        assert counted == ["Made elsewhere.", "No metadata.", final]
 
 
 def _chat_payload(text):
@@ -232,6 +252,24 @@ class TestRunPipeline:
         first = run_pipeline(document, "markov-cluster", pipeline_config(seed=4))
         second = run_pipeline(document, "markov-cluster", pipeline_config(seed=4))
         assert to_canonical_json(first.to_dict()) == to_canonical_json(second.to_dict())
+
+    def test_the_mock_counts_each_text_once(self, monkeypatch):
+        """Chunks bring their token counts and summaries their own, so only each new summary is counted."""
+        counted = _record_counts(monkeypatch)
+        document = make_topic_document(seed=6, topic_order=["alpha", "beta", "gamma", "delta"])
+        result = run_pipeline(document, "markov-cluster", pipeline_config(seed=6, k=4))
+        texts = [s["summary_text"] for s in result.cluster_summaries]
+        assert len(counted) == len(texts) + 1  # each cluster summary, then the final one
+        assert sorted(counted) == sorted([*texts, result.final_summary])
+        # The usage is what counting every text would give.
+        chunks = chunk_document(document, pipeline_config().chunker)
+        for summary in result.cluster_summaries:
+            usage = summary["provider_metadata"]["usage"]
+            reps = [chunks[i].text for i in summary["representative_chunk_ids"]]
+            assert usage == {
+                "prompt_tokens": sum(map(count_tokens, reps)),
+                "completion_tokens": count_tokens(summary["summary_text"]),
+            }
 
     def test_single_chunk_degenerate_document(self):
         cfg = pipeline_config(seed=0, k=1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -145,6 +146,118 @@ def test_map_ordered_raises_the_first_failure_in_input_order_after_every_call_en
     with pytest.raises(ValueError, match="^item 1$"):
         map_ordered(call, range(6), 4)
     assert running == []
+
+
+def test_map_ordered_then_runs_on_the_caller_in_input_order_while_later_calls_are_in_flight():
+    late_started = threading.Event()
+    first_landed = threading.Event()
+    seen = []
+
+    def call(n):
+        if n == 3:
+            # Item 3 cannot end before item 0's then has run.
+            late_started.set()
+            assert first_landed.wait(timeout=10), "item 0's then waited for item 3's call"
+        return n * 10
+
+    def then(n, result):
+        seen.append((n, result, threading.current_thread()))
+        if n == 0:
+            assert late_started.wait(timeout=10)
+            first_landed.set()
+        return -n
+
+    assert map_ordered(call, range(6), 4, then=then) == [-n for n in range(6)]
+    assert [(n, result) for n, result, _ in seen] == [(n, n * 10) for n in range(6)]
+    assert {thread for _, _, thread in seen} == {threading.current_thread()}
+
+
+class _Box:
+    """A result that can be watched through a weak reference."""
+
+
+def _released(refs, timeout=10.0):
+    """Whether every object of refs goes within timeout.
+
+    The worker that made a result drops its own reference a moment after
+    handing the result over, so the check waits for that; a reference that
+    map_ordered itself held would outlast the wait.
+    """
+    deadline = time.monotonic() + timeout
+    while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_map_ordered_drops_each_result_once_its_then_returns(parallelism):
+    refs = []
+    sixth_landed = threading.Event()
+    released = []
+
+    def call(n):
+        if n == 7:
+            # The caller waits for this call once item 6's then has returned,
+            # and must not hold item 6's result meanwhile.
+            assert sixth_landed.wait(timeout=10)
+            released.append(_released(refs[6:]))
+        return _Box()
+
+    def then(n, box):
+        if n == 4:
+            released.append(_released(refs))  # items 0-3, while item 4's result is in use
+        refs.append(weakref.ref(box))
+        if n == 6:
+            sixth_landed.set()
+        return n
+
+    assert map_ordered(call, range(8), parallelism, then=then) == list(range(8))
+    assert released == [True, True]
+    assert _released(refs)
+
+
+@pytest.mark.parametrize("where", ["fn", "then"])
+def test_map_ordered_runs_then_for_every_success_and_raises_the_first_failure(where):
+    """Items 2 and 4 fail, 4 first in time; then runs for every call that succeeded."""
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    running, succeeded, landed = [], [], []
+    three_done, four_done = threading.Event(), threading.Event()
+
+    def call(n):
+        with lock:
+            running.append(n)
+        try:
+            if n == 2:
+                # Item 2 ends only after items 3 and 4 have ended.
+                assert three_done.wait(timeout=10) and four_done.wait(timeout=10)
+            if n == 4:
+                # Item 4 ends after item 3: a failure cancels items a worker
+                # has taken but not yet started, and item 3 must run.
+                assert three_done.wait(timeout=10)
+            if where == "fn" and n in (2, 4):
+                raise ValueError(f"item {n}")
+            with lock:
+                succeeded.append(n)
+            return n
+        finally:
+            with lock:
+                running.remove(n)
+            (three_done if n == 3 else four_done if n == 4 else threading.Event()).set()
+
+    def then(n, result):
+        assert threading.current_thread() is caller
+        landed.append(n)
+        if where == "then" and n in (2, 4):
+            raise ValueError(f"item {n}")
+        return result
+
+    with pytest.raises(ValueError, match="^item 2$"):
+        map_ordered(call, range(8), 4, then=then)
+    assert running == []
+    assert landed == sorted(succeeded)
+    assert {0, 1, 3} <= set(landed)
+    assert (2 in landed) == (where == "then")
 
 
 def test_map_ordered_called_from_a_worker_runs_inline():
