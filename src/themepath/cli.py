@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from . import pathfinding
+from ._rng import Generator
 from .artifact import (
     ArtifactError,
     RunArtifact,
@@ -241,8 +242,9 @@ def cmd_bench(max_k, trials, out_path):
 
 
 def random_transition_matrix(k: int, seed: int) -> TransitionMatrix:
-    rng = np.random.default_rng(seed)
-    probs = rng.random((k, k))
+    rng = Generator(seed)
+    # Row-major, as np.random.default_rng(seed).random((k, k)) fills it.
+    probs = np.array([rng.random() for _ in range(k * k)]).reshape(k, k)
     probs /= probs.sum(axis=1, keepdims=True)
     return TransitionMatrix(probs=probs, k=k, zero_rows=frozenset())
 

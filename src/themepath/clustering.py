@@ -1,10 +1,13 @@
 """k-means++ clustering of chunk vectors and representative selection.
 
-The RNG is numpy's PCG64 (``np.random.default_rng``), so partitions are
-reproducible for a given seed.  Distances are Euclidean; on the unit
-vectors produced by the embeddings module that ordering is equivalent to
-cosine similarity.  ``kmeans`` lowers k to the number of distinct rows and
-numbers the clusters by first appearance in chunk order (labels[0] is 0).
+The k-means++ draws come from ``_rng.Generator``: the stream of
+``np.random.default_rng`` (PCG64 through numpy's SeedSequence), written in
+the package.  So partitions are reproducible for a given seed and do not
+change with numpy's ``Generator`` methods.  Distances are Euclidean; on
+the unit vectors produced by the embeddings module that ordering is
+equivalent to cosine similarity.  ``kmeans`` lowers k to the number of
+distinct rows and numbers the clusters by first appearance in chunk order
+(labels[0] is 0).
 
 Each Lloyd step computes the (n, k) squared distances through the
 expansion ||x||^2 - 2 x.c^T + ||c||^2: one matrix product, clamped at 0
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rng import Generator
 from .errors import InfeasibleError
 from .pathfinding import DP_HARD_CAP
 
@@ -88,18 +92,32 @@ def _squared_residuals(vectors: np.ndarray, targets: np.ndarray, work: np.ndarra
 
 
 def _seed_centroids(
-    vectors: np.ndarray, k: int, rng: np.random.Generator, vector_norms: np.ndarray
+    vectors: np.ndarray, k: int, rng: Generator, vector_norms: np.ndarray
 ) -> np.ndarray:
-    """k-means++ draws; each drawn row's D^2 column is one matrix-vector product."""
+    """k-means++ draws; each drawn row's D^2 column is one matrix-vector product.
+
+    Where the expansion rounds every D^2 left to 0 (distinct rows closer
+    than its rounding), that draw's D^2 is taken again by the difference
+    formula; if that is 0 too, the rows cannot be told apart and the draw
+    is refused.
+    """
     n = vectors.shape[0]
     centroids = np.empty((k, vectors.shape[1]), dtype=np.float64)
-    centroids[0] = vectors[int(rng.integers(n))]
+    centroids[0] = vectors[rng.integers(n)]
     if k == 1:
         return centroids
     d2 = _squared_distances(vectors, centroids[:1], vector_norms)[:, 0]
     for i in range(1, k):
-        probs = d2 / d2.sum()
-        idx = int(rng.choice(n, p=probs))
+        total = d2.sum()
+        if not total > 0:
+            d2 = np.min([((vectors - c) ** 2).sum(axis=1) for c in centroids[:i]], axis=0)
+            total = d2.sum()
+            if not total > 0:
+                raise InfeasibleError(
+                    f"k-means++ cannot draw centroid {i + 1} of {k}: every row's squared "
+                    "distance to the centroids drawn so far is 0 in float64"
+                )
+        idx = rng.choice(n, d2 / total)
         centroids[i] = vectors[idx]
         column = _squared_distances(vectors, centroids[i : i + 1], vector_norms)[:, 0]
         np.minimum(d2, column, out=d2)
@@ -129,7 +147,7 @@ def kmeanspp_seed(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
     available = _feasible_k(vectors, k)
     if available < k:
         raise InfeasibleError(f"k={k} exceeds the {available} distinct vectors available")
-    return _seed_centroids(vectors, k, np.random.default_rng(seed), _squared_norms(vectors))
+    return _seed_centroids(vectors, k, Generator(seed), _squared_norms(vectors))
 
 
 def kmeans(
@@ -166,7 +184,7 @@ def kmeans(
     else:
         if n_init < 1:
             raise ValueError("n_init must be >= 1")
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         best = None
         for _ in range(n_init):
             centroids = _seed_centroids(vectors, k, rng, norms)

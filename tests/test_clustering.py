@@ -98,6 +98,23 @@ class TestSeeding:
         points = np.array([[0.0], [0.0], [0.0], [1.0], [2.0]])
         assert sorted(kmeans(points, 3, seed=0).centroids[:, 0]) == [0.0, 1.0, 2.0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_rows_closer_than_the_expansion_rounds_are_still_drawn(self):
+        # ||x||^2 - 2 x.c + ||c||^2 rounds the 1e-18 squared distance to 0
+        points = np.array([[1.0, 0.0], [1.0, 1e-9]])
+        assert _squared_distances(points, points[:1], _squared_norms(points)).tolist() == [[0.0], [0.0]]
+        for seed in range(4):
+            assert sorted(kmeanspp_seed(points, 2, seed=seed).tolist()) == sorted(points.tolist())
+            result = kmeans(points, 2, seed=seed)
+            assert result.k == 2 and result.labels.tolist() == [0, 1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_whose_squared_distance_underflows_are_refused(self):
+        points = np.array([[0.0, 0.0], [1e-200, 0.0]])
+        assert distinct_count(points) == 2
+        with pytest.raises(InfeasibleError, match="centroid 2 of 2"):
+            kmeans(points, 2, seed=0)
+
 
 class TestDistinctCount:
     @staticmethod
