@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-import statistics
 import time
 from dataclasses import asdict
 
@@ -250,6 +249,9 @@ def random_transition_matrix(k: int, seed: int) -> TransitionMatrix:
 
 
 def bench_rows(max_k: int, trials: int) -> list[tuple[int, float]]:
+    # Imported here: statistics loads decimal and fractions, which no other command needs.
+    import statistics
+
     rows = []
     for k in range(2, max_k + 1):
         times = []

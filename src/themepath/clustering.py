@@ -17,9 +17,11 @@ direct difference formula would hold an n*k*d tensor (about 270 MB at
 n = 2000, d = 768, k = 22).  Seeding takes each draw's D^2 column from
 the same expansion, one matrix-vector product.  A step's inertia is
 total minus between sum of squares, O(k*d); only the final partition's
-inertia, which picks the winning start, is the plain residual sum.  The
-total sum of squares and that final sum use one n*d scratch buffer
-allocated once per ``kmeans`` call.
+inertia, which picks the winning start, is the plain residual sum.  One
+n*d scratch buffer, allocated once per ``kmeans`` call, holds the terms of
+the total sum of squares and of that final sum, and in each Lloyd step the
+rows gathered in cluster order, whose slices give the centroids: no step
+copies a cluster out.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def kmeans(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     norms = _squared_norms(vectors)
-    work = np.empty_like(vectors)  # the one n x d scratch buffer of the whole call
+    work = np.empty(vectors.shape)  # the one n x d scratch buffer of the whole call, C-contiguous
     mean = vectors.mean(axis=0)
     total_ss = float(_squared_residuals(vectors, mean, work).sum())
     if init_centroids is not None:
@@ -223,6 +225,13 @@ def _lloyd(
     squares, ``total_ss - sum_c m_c ||mu_c - mean||^2``, at O(k*d) per step;
     centring on the grand mean bounds its rounding by the data's spread.
     The returned inertia is the plain residual sum of the final partition.
+
+    Each step gathers the rows into ``work`` in cluster order (a stable sort
+    of the labels, so each cluster's rows stay in chunk order) and takes
+    each centroid as the mean of its cluster's slice.  A slice is the
+    C-contiguous block that ``vectors[labels == c]`` copies out, with the
+    rows in the same order, so the means have the same bits; the sums of
+    ``np.add.reduceat`` do not.
     """
     n = vectors.shape[0]
     labels = np.zeros(n, dtype=np.int64)
@@ -242,9 +251,13 @@ def _lloyd(
             labels[p] = c
             counts[c] = 1
 
+        # Cluster by cluster, each cluster's rows in chunk order.
+        np.take(vectors, np.argsort(labels, kind="stable"), axis=0, out=work, mode="clip")
         new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            new_centroids[c] = vectors[labels == c].mean(axis=0)
+        start = 0
+        for c, end in enumerate(np.cumsum(counts)):
+            new_centroids[c] = work[start:end].mean(axis=0)
+            start = end
 
         between = float(counts @ _squared_norms(new_centroids - mean))
         history.append(max(total_ss - between, 0.0))
@@ -272,13 +285,18 @@ def representatives(
     """Per cluster, the min(top_k, size) member indices nearest its centroid.
 
     Ties break toward the lower chunk index; distances are non-decreasing
-    within each list.
+    within each list.  Each cluster's rows are gathered into one buffer
+    sized to the largest cluster and squared there, so the distances keep
+    the bits of ``((vectors[members] - centroid) ** 2).sum(axis=1)``.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
+    counts = np.bincount(assignment.labels, minlength=assignment.k)
+    work = np.empty((int(counts.max(initial=0)), vectors.shape[1]))
     reps: dict[int, list[int]] = {}
     for c in range(assignment.k):
         members = np.flatnonzero(assignment.labels == c)
-        dists = ((vectors[members] - assignment.centroids[c]) ** 2).sum(axis=1)
+        rows = np.take(vectors, members, axis=0, out=work[: len(members)], mode="clip")
+        dists = _squared_residuals(rows, assignment.centroids[c], rows).sum(axis=1)
         order = np.argsort(dists, kind="stable")  # stable: lower index wins ties
         reps[c] = [int(members[i]) for i in order[: min(top_k, len(members))]]
     return reps

@@ -13,7 +13,9 @@ Two providers share one contract ("texts in, one vector per text out"):
   send batches and receive their replies as raw bytes; the calling thread
   decodes each reply into one (n, dim) float64 array of finite numbers,
   in input order as the replies land, so one decoded reply is alive at a
-  time.  Anything else is a ProtocolError, raised before the batch is
+  time.  numpy reads the vectors from the reply's text, and only the rest
+  of the reply goes through ``json.loads``, so no Python float is made per
+  value.  Anything else is a ProtocolError, raised before the batch is
   cached.
 
 Each provider returns one (m, dim) block of unit rows, normalized in place,
@@ -34,9 +36,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import logging
 import math
 import os
+import re
 import threading
 import weakref
 from collections import Counter, defaultdict
@@ -246,23 +250,73 @@ class EmbeddingCache:
                     self._db.executemany("INSERT OR REPLACE INTO vectors VALUES (?, ?)", rows)
 
 
+_WS = rb"[ \t\n\r]*+"
+# RFC 8259's number, and the literals json.loads also reads, so that a
+# non-finite reply is refused as such.  A bare "-0" is left out: json.loads
+# reads it as the integer 0, numpy as -0.0.
+_NUMBER = rb"(?:-?(?:[1-9][0-9]*+|0(?=[.eE]))(?:\.[0-9]++)?+(?:[eE][+-]?[0-9]++)?+|0|NaN|-?Infinity)"
+_NUMBERS = re.compile(_WS + _NUMBER + _WS + rb"(?:," + _WS + _NUMBER + _WS + rb")*+")
+# A JSON string and, when it is a key whose value is an array holding no
+# string, object or array, the text between that array's brackets.
+_KEY_ARRAY = re.compile(rb'"((?:[^"\\]|\\.)*+)"(?:(' + _WS + rb":" + _WS + rb"\[)([^\[\]{}\"]*+)\])?", re.S)
+
+
+def _names_embedding(key: bytes) -> bool:
+    """Whether a JSON string, given as the text between its quotes, is "embedding"."""
+    if b"\\" not in key:
+        return key == b"embedding"
+    try:
+        return json.loads(b'"%s"' % key) == "embedding"
+    except ValueError:
+        return False
+
+
 def _reply_vectors(reply: bytes, n: int, cfg: EmbeddingProviderConfig) -> np.ndarray:
     """Decode one embeddings reply into an (n, dim) block of unit rows.
 
     Anything but ``n`` equal-length lists of finite numbers is a
     ProtocolError.
+
+    Each array under an ``"embedding"`` key that holds no string, object or
+    array is cut out of the reply, leaving ``[]``, and the rest is parsed as
+    JSON.  When the cut texts are lists of JSON numbers of one length, one
+    in each of the ``n`` items and none elsewhere, numpy reads them straight
+    into the block's rows, and no Python float is made.  Any other reply is
+    decoded whole by ``json.loads``, so it gets the vectors or the error it
+    always got.  A cut text that is not a list of numbers sends the reply
+    there before anything is parsed: only lists of numbers leave a rest that
+    is JSON exactly when the reply is.
     """
-    data = parse_json(cfg, reply)
+    arrays: list[bytes] = []
+
+    def cut(match: re.Match) -> bytes:
+        key, opening, array = match.groups()
+        if array is None or not _names_embedding(key):
+            return match[0]
+        arrays.append(array)
+        return b'"%s"%s]' % (key, opening)
+
+    skeleton = _KEY_ARRAY.sub(cut, reply)
+    numeric = all(_NUMBERS.fullmatch(array) for array in arrays)
+    data = parse_json(cfg, skeleton if numeric else reply)
     items = data.get("data") if isinstance(data, dict) else None
     got = len(items) if isinstance(items, list) else type(items).__name__
     if got != n:
         raise ProtocolError(f"expected 'data' to list {n} vectors, got {got}")
     if not all(isinstance(item, dict) and "embedding" in item for item in items):
         raise ProtocolError("response items are not objects with an 'embedding' field")
-    try:
-        vectors = np.array([item["embedding"] for item in items], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"response vectors are not equal-length lists of numbers: {exc}") from exc
+    widths = {array.count(b",") + 1 for array in arrays}
+    if numeric and len(arrays) == n and len(widths) == 1 and all(item["embedding"] == [] for item in items):
+        vectors = np.empty((n, widths.pop()))
+        for row, array in zip(vectors, arrays):
+            row[:] = np.fromstring(array, sep=",")
+    else:
+        if numeric and arrays:  # the items hold [] where arrays were cut
+            items = parse_json(cfg, reply)["data"]
+        try:
+            vectors = np.array([item["embedding"] for item in items], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"response vectors are not equal-length lists of numbers: {exc}") from exc
     if vectors.ndim != 2 or vectors.shape[1] == 0:
         raise ProtocolError(f"response vectors do not form a non-empty (n, dim) table: shape {vectors.shape}")
     # Checked before anything is normalized or cached: a cached bad vector

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -13,7 +14,10 @@ from hypothesis import settings
 import themepath.transport
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
-settings.load_profile("deterministic")
+# For the properties that compare bits against numpy or json.loads, where
+# rounding cases are rare: HYPOTHESIS_PROFILE=thorough.
+settings.register_profile("thorough", derandomize=True, max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -618,3 +618,25 @@ class TestBenchCommand:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert b"error:" not in stderr and b"Traceback" not in stderr
+
+
+def test_a_mock_run_leaves_statistics_decimal_and_fractions_unloaded(tmp_path):
+    # statistics, which only bench uses, loads decimal and fractions on import.
+    doc = tmp_path / "doc.txt"
+    doc.write_text(make_topic_document(seed=8, topic_order=["alpha", "beta", "gamma"]))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"chunk_size = {tokens_per_chunk()}\noverlap = 0\nk = 3\n")
+    args = ["summarize", str(doc), "--provider", "mock", "--config", str(config), "--out-dir", str(tmp_path / "run")]
+    code = (
+        "import sys\n"
+        "from themepath.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)),"
+        " 'themepath.clustering' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(themepath.__file__))}
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[] True"

@@ -63,6 +63,17 @@ def topic_vectors(seed, n=800, d=768, topics=12, spread=0.6):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def skewed_vectors(seed, n=600, d=768, topics=4, share=0.6, spread=0.3):
+    """Unit vectors around a few topic directions; the first topic holds ``share`` of them."""
+    rng = np.random.default_rng(seed)
+    centers = unit_rows(rng, topics, d)
+    big = int(share * n)
+    topic = np.concatenate([np.zeros(big, dtype=np.int64), rng.integers(1, topics, size=n - big)])
+    rng.shuffle(topic)
+    rows = centers[topic] + spread * unit_rows(rng, n, d)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 LINE_POINTS = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
 
 
@@ -271,6 +282,18 @@ class TestSquaredDistances:
             tracemalloc.stop()
         # the scratch buffer is 11.7 MiB; one more n x d temporary would pass 23 MiB
         assert peak < 1.5 * vectors.nbytes
+
+    def test_lloyd_copies_no_cluster_out(self):
+        vectors = skewed_vectors(5)
+        tracemalloc.start()
+        try:
+            result = kmeans(vectors, 4, seed=0, n_init=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.bincount(result.labels).max() >= len(vectors) // 2
+        # the scratch buffer is 1.0x; a copy of the largest cluster would add 0.6x more
+        assert peak < 1.2 * vectors.nbytes
 
     def test_inertia_and_seeding_keep_the_bits_of_the_plain_expressions(self):
         vectors = topic_vectors(10, n=400)
@@ -481,6 +504,24 @@ class TestRepresentatives:
         )
         reps = representatives(assignment, points, top_k=5)
         assert reps[0] == [1, 3, 4, 2, 5]  # ties at distance 1 keep index order
+
+    def test_one_buffer_of_the_largest_cluster_with_the_plain_distances(self):
+        vectors = skewed_vectors(6)
+        result = kmeans(vectors, 4, seed=0, n_init=1)
+        largest = np.bincount(result.labels).max() * vectors.shape[1] * vectors.itemsize
+        assert largest >= vectors.nbytes // 2
+        tracemalloc.start()
+        try:
+            reps = representatives(result, vectors, top_k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a gathered copy and its difference would hold the largest cluster twice
+        assert peak < 1.2 * largest
+        for c in range(result.k):
+            members = np.flatnonzero(result.labels == c)
+            dists = ((vectors[members] - result.centroids[c]) ** 2).sum(axis=1)
+            assert reps[c] == [int(members[i]) for i in np.argsort(dists, kind="stable")[:5]]
 
 
 class TestChooseK:

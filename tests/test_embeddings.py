@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import json
 import logging
 import math
 import os
@@ -15,6 +16,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_topic_document, tokens_per_chunk
 from oracles import per_token_test_vector
@@ -625,6 +627,128 @@ class TestRemoteProvider:
         cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, auth_token_env="EMBED_TOKEN")
         embed_batch(["a"], cfg)
         assert "authorization" not in {name.lower() for name in server.requests[0]["headers"]}
+
+
+_DECODER_CFG = EmbeddingProviderConfig(kind="remote", endpoint="http://stub.test")
+
+
+def _raw_vectors(reply, n):
+    """``_reply_vectors`` without its closing normalization, and each text ``parse_json`` was given."""
+    parsed = []
+    original = embeddings.parse_json
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "_unit_rows", lambda block: block)
+        patch.setattr(embeddings, "parse_json", lambda cfg, data: parsed.append(data) or original(cfg, data))
+        return embeddings._reply_vectors(reply, n, _DECODER_CFG), parsed
+
+
+def _json_loads_vectors(reply):
+    return np.array([item["embedding"] for item in json.loads(reply)["data"]], dtype=np.float64)
+
+
+_json_numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
+
+
+class TestReplyDecoder:
+    """numpy reads each "embedding" array's text; everything else is checked as JSON."""
+
+    @given(
+        rows=st.integers(1, 8).flatmap(
+            lambda width: st.lists(st.lists(_json_numbers, min_size=width, max_size=width), min_size=1, max_size=4)
+        )
+    )
+    def test_json_dumps_numbers_decode_to_the_bits_of_json_loads(self, rows):
+        reply = json.dumps({"data": [{"embedding": row} for row in rows]}).encode("utf-8")
+        got, parsed = _raw_vectors(reply, len(rows))
+        assert got.tobytes() == _json_loads_vectors(reply).tobytes()
+        # The arrays never reached json.loads.
+        assert parsed == [json.dumps({"data": [{"embedding": []} for _ in rows]}).encode("utf-8")]
+
+    @pytest.mark.parametrize("literal", ["1e-7", "-0.0", "3", "2.5E+2", "-0", "0e5", "-1.5e-3"])
+    def test_literals_decode_to_the_bits_of_json_loads(self, literal):
+        reply = b'{"data": [{"embedding": [%s, 1]}]}' % literal.encode("ascii")
+        got, _ = _raw_vectors(reply, 1)
+        assert got.tobytes() == _json_loads_vectors(reply).tobytes()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b'{"data": [{"\\u0065mbedding": [1, 2]}]}',
+            b'{"meta": {"embedding": [5, 6]}, "data": [{"embedding": [1, 2]}]}',
+            b'{"data": [{"embedding": [1, 2], "embedding": [3, 4]}]}',
+            b'{"data": [{"embedding": [1, 2], "n\\u0061me": [3]}]}',
+            b'{"data": [{"embedding" :\n[ 1 ,\t2\r\n]}]}',
+            b'\xef\xbb\xbf{"data": [{"embedding": [1, 2]}]}',
+            '{"data": [{"embedding": [1, 2]}]}'.encode("utf-16"),
+            b'{"data": [{"embedding": [true, false]}]}',
+        ],
+        ids=[
+            "escaped-key",
+            "other-embedding-key",
+            "repeated-key",
+            "escaped-other-key",
+            "whitespace",
+            "bom",
+            "utf-16",
+            "booleans",
+        ],
+    )
+    def test_unusual_replies_decode_as_json_loads_reads_them(self, reply):
+        got, _ = _raw_vectors(reply, 1)
+        assert got.tobytes() == _json_loads_vectors(reply).tobytes()
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (b'{"data": [{"embedding": [0x10, 1]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [1,,2]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [1 2]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [01, 2]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [.5, 2]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [+1, 2]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [1., 2]}]}', "non-JSON response from http://stub.test"),
+            (b'{"data": [{"embedding": [nan, 2]}]}', "non-JSON response from http://stub.test"),
+            (
+                b'{"data": [{"embedding": [[1, 2], [3, 4]]}]}',
+                "response vectors do not form a non-empty (n, dim) table: shape (1, 2, 2)",
+            ),
+            (
+                b'{"data": [{"note": "\\"embedding\\": [1, 2]"}]}',
+                "response items are not objects with an 'embedding' field",
+            ),
+            (
+                b'{"meta": {"embedding": [5, 6]}, "data": [{"\\u0065mbedding": []}]}',
+                "response vectors do not form a non-empty (n, dim) table: shape (1, 0)",
+            ),
+        ],
+        ids=[
+            "hex",
+            "empty-slot",
+            "no-comma",
+            "leading-zero",
+            "no-integer-part",
+            "plus",
+            "no-fraction-digits",
+            "lowercase-nan",
+            "nested",
+            "key-inside-a-string",
+            "empty-under-escaped-key",
+        ],
+    )
+    def test_malformed_replies_keep_their_errors(self, reply, message):
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            embeddings._reply_vectors(reply, 1, _DECODER_CFG)
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "huge-integer"]
+    )
+    def test_non_finite_values_are_refused_and_not_cached(self, stub_server, no_sleep, tmp_path, literal):
+        server, url = stub_server([(200, b'{"data": [{"embedding": [1.0, %s]}]}' % literal.encode("ascii"))])
+        cfg = EmbeddingProviderConfig(kind="remote", endpoint=url, cache_dir=str(tmp_path))
+        with pytest.raises(ProtocolError, match="^provider returned non-finite embedding values$"):
+            embed_batch(["a"], cfg)
+        with EmbeddingCache(str(tmp_path)) as cache:
+            assert cache.get(cfg.model_name, "a") is None
 
 
 WIDE = 768
