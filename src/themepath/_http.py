@@ -142,9 +142,12 @@ def _connection(link: Link, timeout: float) -> http.client.HTTPConnection:
     return conn
 
 
-def exchange(link: Link, timeout: float, target: str, body: bytes, headers: dict) -> tuple[int, bytes]:
-    """POST ``body`` on the calling thread's connection over ``link``; return (status, reply body).
+def exchange(
+    link: Link, timeout: float, target: str, body: bytes, headers: dict
+) -> tuple[int, bytes, str | None]:
+    """POST ``body`` on the calling thread's connection over ``link``.
 
+    Returns (status, reply body, the reply's ``Retry-After`` header or None).
     ``timeout`` bounds each socket operation.  Replies are asked for
     uncompressed (http.client sends ``Accept-Encoding: identity``).
     """
@@ -152,7 +155,7 @@ def exchange(link: Link, timeout: float, target: str, body: bytes, headers: dict
     try:
         conn.request("POST", target, body, headers)
         reply = conn.getresponse()
-        return reply.status, reply.read()
+        return reply.status, reply.read(), reply.getheader("Retry-After")
     except BaseException:
         conn.close()  # a request cut off half-way leaves nothing to reuse
         raise

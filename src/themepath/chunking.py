@@ -163,6 +163,8 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
     last_end = 0  # character offset just past the last token walked
     # byte_pos is the UTF-8 offset of character byte_char; it moves from one
     # chunk start to the next, so only the text between them is re-encoded.
+    # In ASCII text the two offsets are equal, and nothing is copied.
+    is_ascii = text.isascii()
     byte_char = byte_pos = 0
 
     def close(end_token: int, end_char: int) -> None:
@@ -183,8 +185,9 @@ def chunk_document(text: str, cfg: ChunkerConfig = ChunkerConfig()) -> list[Chun
         if match is None:
             break
         if target == next_open:
-            byte_pos += _utf8_len(text[byte_char : match.start("token")])
-            byte_char = match.start("token")
+            start = match.start("token")
+            byte_pos = start if is_ascii else byte_pos + _utf8_len(text[byte_char:start])
+            byte_char = start
             opened.append((target, byte_char, byte_pos))
         if opened[0][0] + size - 1 == target:
             close(total, last_end)

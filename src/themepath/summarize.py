@@ -28,6 +28,7 @@ from importlib import resources
 from .chunking import Chunk, ChunkerConfig, chunk_document, count_tokens
 from .errors import ProtocolError
 from .evaluation import first_sentence
+from .pathfinding import DP_HARD_CAP
 from .transport import Remote, map_ordered, post_json
 
 PROMPT_VERSION = "v1"
@@ -43,7 +44,10 @@ class LlmProviderConfig(Remote):
     temperature: float = 0.0
     max_output_tokens: int = 1024
     timeout: float = 60.0
-    parallelism: int = 8  # cluster summaries or llm-full pieces in flight at once
+    # Cluster summaries or llm-full pieces in flight at once.  choose_k gives
+    # at most DP_HARD_CAP clusters, so by default every summary is sent in one
+    # wave; lower it for a provider that rate-limits bursts.
+    parallelism: int = DP_HARD_CAP
     # llm-full baseline: documents beyond context_limit - context_margin
     # tokens are split, summarized piecewise, and stitched once.
     context_limit: int | None = None

@@ -21,6 +21,7 @@ store, or ``SSL_CERT_FILE``/``SSL_CERT_DIR`` when set.
 
 from __future__ import annotations
 
+import datetime
 import json
 import math
 import os
@@ -41,6 +42,8 @@ S = TypeVar("S")
 _sleep = time.sleep
 
 _RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
+# Statuses whose Retry-After header sets the wait before the next attempt.
+_RETRY_AFTER_STATUS = {429, 503}
 
 # Seconds before the first retry; each later retry waits twice as long.
 _BACKOFF_BASE = 0.5
@@ -184,7 +187,9 @@ def post(remote: Remote, payload: dict) -> bytes:
 
     Connection failures, timeouts and retryable HTTP statuses are retried
     with exponential backoff (remote.max_retries additional attempts);
-    ``remote.timeout`` bounds every socket operation.  A request that can
+    ``remote.timeout`` bounds every socket operation.  After a 429 or 503
+    whose ``Retry-After`` asks for a longer wait than the backoff, the next
+    attempt waits that long, up to ``remote.timeout``.  A request that can
     never be sent (no scheme, an unknown scheme, a malformed host or port, a
     payload holding NaN or infinity) raises TransportError on the first
     attempt.  Any other status outside 2xx, 3xx included (no redirect is
@@ -214,11 +219,13 @@ def post(remote: Remote, payload: dict) -> bytes:
     if token:
         headers["Authorization"] = f"Bearer {token}"
     last_error: Exception | None = None
+    asked = 0.0  # the wait the last reply's Retry-After asked for, capped at the timeout
     for attempt in range(remote.max_retries + 1):
         if attempt > 0:
-            _sleep(_BACKOFF_BASE * (2 ** (attempt - 1)))
+            _sleep(max(_BACKOFF_BASE * (2 ** (attempt - 1)), asked))
+            asked = 0.0
         try:
-            status, data = _http.exchange(link, remote.timeout, target, body, headers)
+            status, data, retry_after = _http.exchange(link, remote.timeout, target, body, headers)
         except (http.client.InvalidURL, ValueError) as exc:
             # http.client refuses to put the target or a header value (a
             # token holding a line break, say) on the wire, every time.
@@ -228,12 +235,37 @@ def post(remote: Remote, payload: dict) -> bytes:
             continue
         if status in _RETRYABLE_STATUS:
             last_error = TransportError(f"HTTP {status} from {url}")
+            if status in _RETRY_AFTER_STATUS:
+                asked = min(_retry_after_seconds(retry_after), remote.timeout)
             continue
         if not 200 <= status < 300:
             text = data.decode("utf-8", errors="replace")
             raise ProtocolError(f"HTTP {status} from {url}: {text[:200]}")
         return data
     raise TransportError(f"{url} unreachable after {remote.max_retries + 1} attempts: {last_error}")
+
+
+def _retry_after_seconds(value: str | None) -> float:
+    """The wait a ``Retry-After`` header asks for, in seconds from now.
+
+    It is either delta-seconds or an HTTP-date.  No header, a malformed
+    value or a date already past ask for no wait (0.0), so the backoff
+    alone applies.
+    """
+    if value is None:
+        return 0.0
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    import email.utils  # loaded by http.client already
+
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if when.tzinfo is None:  # "-0000": UTC, with no claim about the local zone
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 def post_json(remote: Remote, payload: dict) -> dict:

@@ -29,18 +29,27 @@ class _StubHandler(BaseHTTPRequestHandler):
         )
         script = self.server.script
         if callable(script):
-            status, payload = script(body)
+            entry = script(body)
         else:
-            status, payload = script[min(len(self.server.requests) - 1, len(script) - 1)]
+            entry = script[min(len(self.server.requests) - 1, len(script) - 1)]
+        status, payload, *extra = entry
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
     def log_message(self, *args):
         pass
+
+
+class _StubServer(ThreadingHTTPServer):
+    # socketserver listens with a backlog of 5.  Past it, a burst of new
+    # connections (22 summaries sent at once) waits out a 1 s SYN retry.
+    request_queue_size = 64
 
 
 @pytest.fixture
@@ -49,13 +58,14 @@ def stub_server():
 
     script is a list of (status, json_payload) pairs served in request
     order, the last entry repeating, or a callable that maps each decoded
-    request body to its (status, json_payload). A bytes payload is sent as
-    it is. The server records request bodies.
+    request body to its (status, json_payload). An entry may add a third
+    item, a dict of reply headers to send. A bytes payload is sent as it
+    is. The server records request bodies.
     """
     servers = []
 
     def make(script):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+        server = _StubServer(("127.0.0.1", 0), _StubHandler)
         server.script = script
         server.requests = []
         threading.Thread(target=server.serve_forever, daemon=True).start()

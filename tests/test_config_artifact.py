@@ -51,7 +51,7 @@ class TestConfigParsing:
         assert cfg.top_k == 5
         assert cfg.llm.temperature == 0.0
         assert cfg.embedding.parallelism == 4
-        assert cfg.llm.parallelism == 8
+        assert cfg.llm.parallelism == 22
 
     def test_env_interpolation(self, monkeypatch):
         monkeypatch.setenv("RUNS_ROOT", "/tmp/elsewhere")

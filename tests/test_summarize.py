@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import threading
 import time
 
 import numpy as np
@@ -219,6 +220,81 @@ class TestFullDocumentBaseline:
             for i, (a_start, a_end) in enumerate(piece_spans)
             for b_start, b_end in piece_spans[i + 1 :]
         ), "no two piece requests were in flight at once"
+
+
+class _Waves:
+    """A chat stub that holds the first ``calls`` requests in waves of ``size``.
+
+    The n-th request is held until ceil(n / size) * size requests have
+    arrived (or all ``calls`` have), and ``most`` records the most held or
+    answering at once.  A wave that never fills waits out the 10 s timeout
+    and sets ``timed_out``, so a passing test does not depend on timing.
+    When the waves are smaller than the run, the first one is held a further
+    0.2 s once full: a client with more calls in flight would send one more
+    in that time and raise ``most``.  Later requests (the aggregate, the
+    stitch) are answered at once.
+    """
+
+    def __init__(self, calls: int, size: int):
+        self.calls, self.size = calls, size
+        self.cond = threading.Condition()
+        self.arrived = self.in_flight = self.most = 0
+        self.timed_out = False
+
+    def __call__(self, body):
+        with self.cond:
+            self.arrived += 1
+            n = self.arrived
+            self.in_flight += 1
+            self.most = max(self.most, self.in_flight)
+            self.cond.notify_all()
+            if n <= self.calls:
+                wave_end = min(self.calls, -(-n // self.size) * self.size)
+                if not self.cond.wait_for(lambda: self.arrived >= wave_end, timeout=10):
+                    self.timed_out = True
+                if n <= self.size < self.calls:
+                    self.cond.wait_for(lambda: self.arrived > self.size, timeout=0.2)
+            self.in_flight -= 1
+        return 200, _chat_payload(f"Reply {n}.")
+
+
+class TestOneWave:
+    """By default every cluster summary, and every stitched piece, is in flight at once."""
+
+    # 24 chunks of random words: 24 distinct vectors, so k = DP_HARD_CAP stands.
+    DOCUMENT = make_topic_document(seed=6, topic_order=["beta", "gamma", "alpha", "delta"], chunks_per_topic=6)
+
+    def _cluster_sum(self, stub_server, k: int, waves: _Waves, **llm) -> None:
+        server, url = stub_server(waves)
+        cfg = pipeline_config(seed=6, mode="cluster-sum", k=k)
+        cfg.llm = LlmProviderConfig(kind="remote-chat", endpoint=url, **llm)
+        result = run_pipeline(self.DOCUMENT, "cluster-sum", cfg)
+        assert len(result.cluster_summaries) == k
+        assert len(server.requests) == k + 1  # one call per cluster, then the aggregate
+
+    @pytest.mark.parametrize("k", [12, DP_HARD_CAP])
+    def test_the_default_sends_every_cluster_summary_at_once(self, stub_server, no_sleep, k):
+        assert LlmProviderConfig().parallelism == DP_HARD_CAP
+        waves = _Waves(calls=k, size=k)
+        self._cluster_sum(stub_server, k, waves)
+        assert not waves.timed_out, f"fewer than {k} summaries were in flight at once"
+        assert waves.most == k
+
+    def test_a_lower_parallelism_caps_the_calls_in_flight(self, stub_server, no_sleep):
+        waves = _Waves(calls=12, size=2)
+        self._cluster_sum(stub_server, 12, waves, parallelism=2)
+        assert not waves.timed_out
+        assert waves.most == 2
+
+    def test_the_default_sends_every_stitched_piece_at_once(self, stub_server, no_sleep):
+        waves = _Waves(calls=5, size=5)
+        server, url = stub_server(waves)
+        doc = " ".join(f"w{i}" for i in range(250))  # five pieces of 50 tokens
+        cfg = LlmProviderConfig(kind="remote-chat", endpoint=url, context_limit=60, context_margin=10)
+        assert summarize_full_document(doc, cfg) == ("Reply 6.", True)
+        assert len(server.requests) == 5 + 1
+        assert not waves.timed_out, "fewer than 5 pieces were in flight at once"
+        assert waves.most == 5
 
 
 class TestRunPipeline:

@@ -1,3 +1,4 @@
+import email.utils
 import json
 import math
 import platform
@@ -467,3 +468,50 @@ def test_the_request_names_its_client_and_content_type(stub_server, no_sleep):
     assert headers["User-Agent"] == f"themepath/{themepath.__version__}"
     assert headers["Content-Type"] == "application/json"
     assert headers["Accept-Encoding"] == "identity"
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, timeout, wait",
+    [
+        (429, "3", 30.0, 3.0),
+        (503, "2", 30.0, 2.0),
+        (429, " 7 ", 30.0, 7.0),
+        (429, "120", 5.0, 5.0),  # capped at the timeout
+        (429, "0", 30.0, 0.5),  # less than the backoff
+        (429, "soon", 30.0, 0.5),  # malformed
+        (429, "-3", 30.0, 0.5),
+        (429, "1.5", 30.0, 0.5),  # delta-seconds are whole
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 30.0, 0.5),  # past
+        (503, "Sun, 99 Foo 2015 99:99:99 GMT", 30.0, 0.5),  # not a date
+        (500, "3", 30.0, 0.5),  # only 429 and 503 are heeded
+        (502, "3", 30.0, 0.5),
+    ],
+)
+def test_retry_after_sets_the_wait_on_429_and_503(stub_server, monkeypatch, status, retry_after, timeout, wait):
+    sleeps = []
+    monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
+    server, url = stub_server([(status, {}, {"Retry-After": retry_after}), (200, {"ok": True})])
+    assert post_json(Remote(url, timeout=timeout, max_retries=1), {"n": 1}) == {"ok": True}
+    assert sleeps == [wait]
+    assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("usegmt", [True, False], ids=["GMT", "-0000"])
+def test_retry_after_as_an_http_date_waits_until_then(stub_server, monkeypatch, usegmt):
+    sleeps = []
+    monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
+    when = email.utils.formatdate(time.time() + 10, usegmt=usegmt)
+    server, url = stub_server([(429, {}, {"Retry-After": when}), (200, {"ok": True})])
+    assert post_json(Remote(url, max_retries=1), {"n": 1}) == {"ok": True}
+    # The date has whole seconds, and the reply took a moment to come back.
+    assert len(sleeps) == 1 and 8.0 < sleeps[0] <= 10.0
+
+
+def test_retry_after_never_shortens_the_backoff(stub_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(themepath.transport, "_sleep", sleeps.append)
+    busy = (503, {}, {"Retry-After": "1"})
+    server, url = stub_server([busy, (500, {}), busy, busy, (200, {"ok": True})])
+    assert post_json(Remote(url, max_retries=4), {"n": 1}) == {"ok": True}
+    # Backoffs 0.5, 1, 2 and 4 s; a 500 after a heeded header asks for nothing.
+    assert sleeps == [1.0, 1.0, 2.0, 4.0]
